@@ -10,7 +10,7 @@
 use klex_core::{is_legitimate, KlConfig, KlInspect, Message};
 use serde::Serialize;
 use topology::Topology;
-use treenet::{Network, Process, Scheduler};
+use treenet::{EventScheduler, Network, Process};
 
 /// Result of a convergence measurement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -48,7 +48,7 @@ impl ConvergenceOutcome {
 /// The returned stabilization time is the activation at which the successful window began.
 pub fn measure_convergence<P, T>(
     net: &mut Network<P, T>,
-    scheduler: &mut impl Scheduler,
+    scheduler: &mut impl EventScheduler,
     cfg: &KlConfig,
     max_steps: u64,
     window: u64,

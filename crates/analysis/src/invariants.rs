@@ -158,7 +158,7 @@ mod tests {
         let cfg = KlConfig::new(1, 2, 3);
         let mut net = naive::network(tree, cfg, |_| Box::new(Idle) as BoxedDriver);
         let mut sched = RoundRobin::new();
-        treenet::run_for(&mut net, &mut sched, 1_000);
+        treenet::engine::run(&mut net, &mut sched, 1_000);
         let mut monitor = SafetyMonitor::new(cfg).with_conservation();
         monitor.check(&net);
         assert!(monitor.clean());

@@ -33,9 +33,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use topology::{OrientedTree, Topology};
 use treenet::app::BoxedDriver;
 use treenet::{
-    Activation, Adversarial, ChannelLabel, CsState, EnabledShape, EnabledView, EventScheduler,
-    FaultInjector, Network, NodeId, Process, RandomFair, RoundRobin, RunOutcome, Scheduler,
-    SnapshotMessage, SnapshotObserver, SnapshotRunner, Synchronous, Trace,
+    Activation, Adversarial, ChannelLabel, CsState, EnabledShape, EventScheduler, FaultInjector,
+    Network, NodeId, Process, RandomFair, RoundRobin, RunOutcome, SnapshotMessage,
+    SnapshotObserver, SnapshotRunner, Synchronous, Trace,
 };
 
 /// Per-epoch fault applier threaded through `drive`'s measured phase: the caller owns the
@@ -44,7 +44,7 @@ type EventApplier<'a, P, T> =
     &'a mut dyn FnMut(&mut Network<P, T>, &FaultEventSpec, &mut StdRng, &mut FaultInjector);
 
 /// A daemon instantiated from a [`DaemonSpec`]: one concrete enum over the bundled daemons,
-/// usable both as a drop-in [`Scheduler`] and on the fused [`treenet::engine`] path.
+/// driven by every [`treenet::engine`] run loop.
 pub enum Daemon {
     /// Deterministic round-robin.
     RoundRobin(RoundRobin),
@@ -54,17 +54,6 @@ pub enum Daemon {
     Synchronous(Synchronous),
     /// Bounded-unfairness adversary.
     Adversarial(Adversarial),
-}
-
-impl Scheduler for Daemon {
-    fn next_activation(&mut self, view: &dyn EnabledView) -> Activation {
-        match self {
-            Daemon::RoundRobin(d) => d.next_activation(view),
-            Daemon::RandomFair(d) => d.next_activation(view),
-            Daemon::Synchronous(d) => d.next_activation(view),
-            Daemon::Adversarial(d) => d.next_activation(view),
-        }
-    }
 }
 
 impl EventScheduler for Daemon {
@@ -1273,7 +1262,7 @@ fn run_sustained<P, T, S>(
 where
     P: Process,
     T: Topology,
-    S: Scheduler,
+    S: EventScheduler,
 {
     let mut streak_start = if pred(net) { Some(net.now()) } else { None };
     for _ in 0..max_steps {

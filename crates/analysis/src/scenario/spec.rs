@@ -824,10 +824,35 @@ impl ScenarioSpec {
         if self.config.k > self.config.l {
             return err(format!("k ({}) must not exceed l ({})", self.config.k, self.config.l));
         }
-        if let WorkloadSpec::Needs { needs, .. } = &self.workload {
-            if needs.len() > n {
-                return err(format!("needs lists {} nodes but the topology has {n}", needs.len()));
+        if self.trials == 0 {
+            return err("trials must be at least 1".into());
+        }
+        let k = self.config.k;
+        let outside_k = |field: &str, units: usize| {
+            err(format!("{field} = {units} is outside 1..=k (k = {k})"))
+        };
+        match &self.workload {
+            WorkloadSpec::Needs { needs, .. } => {
+                if needs.len() > n {
+                    return err(format!(
+                        "needs lists {} nodes but the topology has {n}",
+                        needs.len()
+                    ));
+                }
+                if let Some((v, need)) = needs.iter().enumerate().find(|&(_, &need)| need > k) {
+                    return err(format!("needs[{v}] = {need} exceeds k ({k})"));
+                }
             }
+            WorkloadSpec::Saturated { units, .. } if !(1..=k).contains(units) => {
+                return outside_k("Saturated.units", *units);
+            }
+            WorkloadSpec::Uniform { max_units, .. } if !(1..=k).contains(max_units) => {
+                return outside_k("Uniform.max_units", *max_units);
+            }
+            WorkloadSpec::LeafUniform { max_units, .. } if !(1..=k).contains(max_units) => {
+                return outside_k("LeafUniform.max_units", *max_units);
+            }
+            _ => {}
         }
         if let WorkloadSpec::Uniform { p_request, .. }
         | WorkloadSpec::LeafUniform { p_request, .. } = &self.workload

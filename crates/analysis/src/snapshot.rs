@@ -193,7 +193,7 @@ mod tests {
         let cfg = KlConfig::new(2, 3, 3);
         let mut net = nonstab::network(tree, cfg, |_| Box::new(Idle) as BoxedDriver);
         let mut daemon = treenet::RoundRobin::new();
-        treenet::run_for(&mut net, &mut daemon, 5_000);
+        treenet::engine::run(&mut net, &mut daemon, 5_000);
         assert!(klex_core::count_tokens(&net).matches(cfg.l));
         net.inject_into(1, 0, Message::ResT);
 

@@ -305,7 +305,7 @@ mod tests {
         // Inject a grant at an idle client; it must bounce back as a release.
         net.inject_into(2, 0, CoordMessage::Grant { units: 2 });
         let mut sched = RoundRobin::new();
-        treenet::run_for(&mut net, &mut sched, 200);
+        treenet::engine::run(&mut net, &mut sched, 200);
         assert_eq!(net.metrics().sent_of_kind("Release"), 1);
         assert_eq!(net.node(2).units_in_use(), 0);
     }

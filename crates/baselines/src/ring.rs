@@ -413,7 +413,7 @@ mod tests {
         let mut net = network(5, cfg, |_| Box::new(Fixed { units: 2, hold: 3 }) as BoxedDriver);
         let mut sched = RoundRobin::new();
         // Let it stabilize, then check the safety bound continuously.
-        treenet::run_for(&mut net, &mut sched, 200_000);
+        treenet::engine::run(&mut net, &mut sched, 200_000);
         for _ in 0..50_000 {
             net.step(&mut sched);
             let used: usize = net.nodes().map(|n| n.units_in_use()).sum();

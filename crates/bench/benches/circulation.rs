@@ -34,7 +34,7 @@ fn bench_token_circulation(c: &mut Criterion) {
                 let mut net =
                     naive::network(tree.clone(), cfg, |_| Box::new(Idle) as BoxedDriver);
                 let mut sched = RoundRobin::new();
-                treenet::run_for(&mut net, &mut sched, 10_000);
+                treenet::engine::run(&mut net, &mut sched, 10_000);
                 net.metrics().messages_sent
             })
         });

@@ -2,8 +2,6 @@
 //! explored per second) on the instances the experiment enumerates, plus a head-to-head
 //! comparison of the exploration engines:
 //!
-//! * `baseline` — the pre-interning loop retained in `checker::explore::baseline`
-//!   (SipHash-keyed `HashMap<Configuration, usize>`, full configuration clones);
 //! * `interned` — the packed/interned sequential engine (`Explorer::run_interned`), the
 //!   delta engine's oracle;
 //! * `delta` — the undo-log delta successor engine (`Explorer::run`, the default);
@@ -21,7 +19,7 @@
 
 use analysis::harness::host_cores;
 use bench::history::{Entry, History};
-use checker::{drivers, explore::baseline, ExploreEngine, Explorer, Limits};
+use checker::{drivers, ExploreEngine, Explorer, Limits};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use klex_core::KlConfig;
 use serde_json::Value;
@@ -95,15 +93,6 @@ fn bench_engine_comparison(c: &mut Criterion) {
     let mut group = c.benchmark_group("explorer_engines");
     group.sample_size(10);
 
-    group.bench_function(BenchmarkId::new("baseline", "pusher_star5"), |b| {
-        b.iter(|| {
-            let mut net = comparison_net();
-            let report = baseline::explore(&mut net, explore_limits());
-            assert!(!report.truncated);
-            report.configurations
-        })
-    });
-
     group.bench_function(BenchmarkId::new("interned", "pusher_star5"), |b| {
         b.iter(|| {
             let mut net = comparison_net();
@@ -176,7 +165,7 @@ fn states_per_sec(rounds: usize, mut run: impl FnMut() -> usize) -> (f64, usize)
     (best, configurations)
 }
 
-/// Records the engine comparison to `BENCH_explorer.json` at the workspace root: the three
+/// Records the engine comparison to `BENCH_explorer.json` at the workspace root: the two
 /// sequential engines plus one parallel row per worker count (1, 2, 4 and all cores), and
 /// the re-certified `pusher_star7` instance.  Every row records the *requested* worker
 /// count next to the *effective* one (capped at the host's cores) — on a single-core
@@ -185,11 +174,7 @@ fn emit_engine_baseline(_c: &mut Criterion) {
     let limits = explore_limits();
     let rounds = 3;
     let cores = host_cores();
-    let (baseline_rate, configurations) = states_per_sec(rounds, || {
-        let mut net = comparison_net();
-        baseline::explore(&mut net, limits).configurations
-    });
-    let (interned_rate, interned_configs) = states_per_sec(rounds, || {
+    let (interned_rate, configurations) = states_per_sec(rounds, || {
         let mut net = comparison_net();
         Explorer::new(&mut net)
             .with_limits(limits)
@@ -200,7 +185,6 @@ fn emit_engine_baseline(_c: &mut Criterion) {
         let mut net = comparison_net();
         Explorer::new(&mut net).with_limits(limits).run().configurations
     });
-    assert_eq!(configurations, interned_configs, "engines must agree on the state space");
     assert_eq!(configurations, delta_configs, "engines must agree on the state space");
 
     let mut requested: Vec<usize> = vec![1, 2, 4, cores];
@@ -270,12 +254,9 @@ fn emit_engine_baseline(_c: &mut Criterion) {
         .str("instance", "pusher_star5 (k=2, l=3, n=5, holding needs 0+2+1+2+1)")
         .int("configurations", configurations as i128)
         .int("host_cores", cores as i128)
-        .num("baseline_states_per_sec", baseline_rate.round())
         .num("interned_states_per_sec", interned_rate.round())
         .num("delta_states_per_sec", delta_rate.round())
         .val("parallel", Value::Array(parallel_rows))
-        .num("speedup_interned_vs_baseline", ratio(interned_rate / baseline_rate))
-        .num("speedup_delta_vs_baseline", ratio(delta_rate / baseline_rate))
         .num("speedup_delta_vs_interned", ratio(delta_rate / interned_rate))
         .num("speedup_parallel_vs_delta", ratio(best_parallel_rate / delta_rate))
         .val("certified", certified_entry)

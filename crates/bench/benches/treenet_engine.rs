@@ -1,21 +1,13 @@
-//! Criterion bench for the simulation runtime: steps/second of the event-driven engine
-//! against the scan-based baseline, per daemon, on a 1023-node tree under the
-//! `UniformRandom` workload.
+//! Criterion bench for the simulation runtime: steps/second of the fused event-driven loop
+//! (`treenet::engine::run`), per daemon, on a 1023-node tree under the `UniformRandom`
+//! workload.
 //!
-//! Three execution paths are compared (all three produce bit-identical activation
-//! sequences and metrics — the comparison group asserts it on every run):
-//!
-//! * `baseline` — the original scan engine retained in `treenet::scheduler::baseline`,
-//!   driven through the generic `run_for` loop;
-//! * `event` — the event-driven daemons reading the maintained enabled set through the
-//!   dynamically dispatched `Scheduler` path (drop-in replacement);
-//! * `fused` — the same daemons through the monomorphized `treenet::engine::run` loop.
-//!
-//! The comparison group also appends a dated entry to the `BENCH_treenet.json` history at
-//! the workspace root recording steps/second for each engine×daemon and the resulting
-//! speedups, so the gain over the scan engine is tracked across runs (last
-//! [`bench::history::MAX_ENTRIES`] entries plus a `trend` block).  Override the measured
-//! horizon with `TREENET_BENCH_STEPS` (used by the CI smoke run).
+//! The recording group appends a dated entry to the `BENCH_treenet.json` history at the
+//! workspace root with the fused steps/second of each daemon, so the engine's throughput is
+//! tracked across runs (last [`bench::history::MAX_ENTRIES`] entries plus a `trend` block).
+//! Override the measured horizon with `TREENET_BENCH_STEPS` (used by the CI smoke run).
+//! Trace equivalence against the scan-based oracle daemons is asserted by
+//! `tests/engine_equivalence.rs`, not here.
 //!
 //! A second comparison measures the **multi-trial reuse path**: many short seeded trials of
 //! the same instance, once rebuilding the network per trial and once resetting one network
@@ -33,9 +25,8 @@ use std::path::Path;
 use std::time::Instant;
 use topology::OrientedTree;
 use treenet::app::BoxedDriver;
-use treenet::scheduler::baseline;
 use treenet::{
-    engine, run_for, run_with_snapshots, InitiatorPolicy, Network, RandomFair, Restartable,
+    engine, run_with_snapshots, EventScheduler, InitiatorPolicy, Network, RandomFair, Restartable,
     RoundRobin, SnapshotPlan, SnapshotRunner, Synchronous,
 };
 use workloads::UniformRandom;
@@ -62,20 +53,15 @@ fn steps_budget() -> (u64, u64) {
     (measured / 2, measured)
 }
 
-/// Runs warmup + measured steps with `run`, returning steps/second over the measured
-/// window and the network's final metrics as a comparable string.
-fn steps_per_sec(
-    warmup: u64,
-    steps: u64,
-    mut run: impl FnMut(&mut Network<SsNode, OrientedTree>, u64),
-) -> (f64, String) {
+/// Runs warmup + measured steps under one persistent `daemon` — its decision state (RNG
+/// stream, cursors) continues from warmup into the measured window, exactly as in a real
+/// experiment — and returns steps/second over the measured window.
+fn steps_per_sec(warmup: u64, steps: u64, daemon: &mut impl EventScheduler) -> f64 {
     let mut net = sim_net();
-    run(&mut net, warmup);
+    engine::run(&mut net, daemon, warmup);
     let start = Instant::now();
-    run(&mut net, steps);
-    let rate = steps as f64 / start.elapsed().as_secs_f64();
-    let metrics = serde_json::to_string(net.metrics()).expect("metrics serialize");
-    (rate, metrics)
+    engine::run(&mut net, daemon, steps);
+    steps as f64 / start.elapsed().as_secs_f64()
 }
 
 fn bench_step_throughput(c: &mut Criterion) {
@@ -84,25 +70,7 @@ fn bench_step_throughput(c: &mut Criterion) {
     // A smaller instance for the iterating benchmark so each sample stays short.
     let quick_steps = 200_000u64;
 
-    group.bench_function(BenchmarkId::new("baseline_scan", "random_fair"), |b| {
-        b.iter(|| {
-            let mut net = sim_net();
-            let mut sched = baseline::RandomFair::new(42);
-            run_for(&mut net, &mut sched, quick_steps);
-            net.metrics().activations
-        })
-    });
-
-    group.bench_function(BenchmarkId::new("event_dropin", "random_fair"), |b| {
-        b.iter(|| {
-            let mut net = sim_net();
-            let mut sched = RandomFair::new(42);
-            run_for(&mut net, &mut sched, quick_steps);
-            net.metrics().activations
-        })
-    });
-
-    group.bench_function(BenchmarkId::new("event_fused", "random_fair"), |b| {
+    group.bench_function(BenchmarkId::new("fused", "random_fair"), |b| {
         b.iter(|| {
             let mut net = sim_net();
             let mut sched = RandomFair::new(42);
@@ -165,54 +133,12 @@ fn measure_trial_reuse(trials: u64, steps_per_trial: u64) -> (f64, f64) {
     (trials as f64 / rebuild_secs, trials as f64 / reuse_secs)
 }
 
-/// Records the engine comparison to `BENCH_treenet.json` at the workspace root.
-fn emit_engine_baseline(_c: &mut Criterion) {
+/// Records the fused engine's throughput to `BENCH_treenet.json` at the workspace root.
+fn emit_engine_entry(_c: &mut Criterion) {
     let (warmup, steps) = steps_budget();
-
-    // Per daemon, one persistent scheduler instance drives warmup + measurement so the
-    // decision state (RNG stream, cursors) is continuous, exactly as in a real experiment.
-    let run_pair = |label: &str,
-                    baseline_run: &mut dyn FnMut(&mut Network<SsNode, OrientedTree>, u64),
-                    event_run: &mut dyn FnMut(&mut Network<SsNode, OrientedTree>, u64),
-                    fused_run: &mut dyn FnMut(&mut Network<SsNode, OrientedTree>, u64)|
-     -> (f64, f64, f64) {
-        let (scan_rate, scan_metrics) = steps_per_sec(warmup, steps, &mut *baseline_run);
-        let (event_rate, event_metrics) = steps_per_sec(warmup, steps, &mut *event_run);
-        let (fused_rate, fused_metrics) = steps_per_sec(warmup, steps, &mut *fused_run);
-        assert_eq!(scan_metrics, event_metrics, "{label}: baseline vs drop-in metrics differ");
-        assert_eq!(scan_metrics, fused_metrics, "{label}: baseline vs fused metrics differ");
-        (scan_rate, event_rate, fused_rate)
-    };
-
-    let mut b_rf = baseline::RandomFair::new(42);
-    let mut e_rf = RandomFair::new(42);
-    let mut f_rf = RandomFair::new(42);
-    let rf = run_pair(
-        "random_fair",
-        &mut |net, n| run_for(net, &mut b_rf, n),
-        &mut |net, n| run_for(net, &mut e_rf, n),
-        &mut |net, n| engine::run(net, &mut f_rf, n),
-    );
-
-    let mut b_rr = baseline::RoundRobin::new();
-    let mut e_rr = RoundRobin::new();
-    let mut f_rr = RoundRobin::new();
-    let rr = run_pair(
-        "round_robin",
-        &mut |net, n| run_for(net, &mut b_rr, n),
-        &mut |net, n| run_for(net, &mut e_rr, n),
-        &mut |net, n| engine::run(net, &mut f_rr, n),
-    );
-
-    let mut b_sy = baseline::Synchronous::new();
-    let mut e_sy = Synchronous::new();
-    let mut f_sy = Synchronous::new();
-    let sy = run_pair(
-        "synchronous",
-        &mut |net, n| run_for(net, &mut b_sy, n),
-        &mut |net, n| run_for(net, &mut e_sy, n),
-        &mut |net, n| engine::run(net, &mut f_sy, n),
-    );
+    let rf = steps_per_sec(warmup, steps, &mut RandomFair::new(42));
+    let rr = steps_per_sec(warmup, steps, &mut RoundRobin::new());
+    let sy = steps_per_sec(warmup, steps, &mut Synchronous::new());
 
     // Multi-trial reuse comparison: many *short* seeded trials — the regime where per-trial
     // construction cost is a real fraction of the trial (long trials amortize the build away
@@ -223,18 +149,8 @@ fn emit_engine_baseline(_c: &mut Criterion) {
     let (rebuild_rate, reuse_rate) = measure_trial_reuse(reuse_trials, steps_per_trial);
 
     let cores = host_cores();
-    let headline = rf.2 / rf.0;
     let ratio = |x: f64| (x * 100.0).round() / 100.0;
-    let daemon = |rates: (f64, f64, f64), with_event_speedup: bool| {
-        let mut entry = Entry::new()
-            .num("baseline_steps_per_sec", rates.0.round())
-            .num("event_steps_per_sec", rates.1.round())
-            .num("fused_steps_per_sec", rates.2.round());
-        if with_event_speedup {
-            entry = entry.num("speedup_event_vs_baseline", ratio(rates.1 / rates.0));
-        }
-        entry.num("speedup_fused_vs_baseline", ratio(rates.2 / rates.0)).build()
-    };
+    let daemon = |rate: f64| Entry::new().num("fused_steps_per_sec", rate.round()).build();
     let trial_reuse = Entry::new()
         .int("trials", reuse_trials as i128)
         .int("steps_per_trial", steps_per_trial as i128)
@@ -249,12 +165,11 @@ fn emit_engine_baseline(_c: &mut Criterion) {
             &format!("ss k=3 l=5 on binary tree n={NODES}, UniformRandom(p=0.05, units<=3, hold<=20)"),
         )
         .int("measured_steps", steps as i128)
-        .val("random_fair", daemon(rf, true))
-        .val("round_robin", daemon(rr, false))
-        .val("synchronous", daemon(sy, false))
+        .val("random_fair", daemon(rf))
+        .val("round_robin", daemon(rr))
+        .val("synchronous", daemon(sy))
         .val("trial_reuse", trial_reuse)
         .int("host_cores", cores as i128)
-        .num("headline_speedup", ratio(headline))
         .build();
     let path = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_treenet.json"));
     let mut history = History::load(path, "treenet_engine").expect("load BENCH_treenet.json");
@@ -265,7 +180,7 @@ fn emit_engine_baseline(_c: &mut Criterion) {
     history.append_dated(entry, now);
     history.save(path, TREENET_TREND_KEYS).expect("write BENCH_treenet.json");
     eprintln!(
-        "\nBENCH_treenet.json: appended entry {} of {} (headline fused-vs-scan {headline:.2}x)",
+        "\nBENCH_treenet.json: appended entry {} of {} (random_fair fused {rf:.0} steps/s)",
         history.entries.len(),
         bench::history::MAX_ENTRIES,
     );
@@ -276,7 +191,6 @@ fn emit_engine_baseline(_c: &mut Criterion) {
 /// (`History::recent` skips entries missing a key); `snapshot_overhead_pct` is tracked
 /// across both scale points because the overhead bound is size-independent.
 const TREENET_TREND_KEYS: &[&str] = &[
-    "headline_speedup",
     "random_fair.fused_steps_per_sec",
     "round_robin.fused_steps_per_sec",
     "synchronous.fused_steps_per_sec",
@@ -378,5 +292,5 @@ fn emit_snapshot_scale(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_step_throughput, emit_engine_baseline, emit_snapshot_scale);
+criterion_group!(benches, bench_step_throughput, emit_engine_entry, emit_snapshot_scale);
 criterion_main!(benches);

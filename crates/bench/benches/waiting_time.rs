@@ -19,7 +19,7 @@ fn bench_waiting(c: &mut Criterion) {
                     stabilized_ss_network(tree, cfg, all_saturated(1, 3), &mut boot, 2_000_000)
                         .expect("stabilizes");
                 let mut sched = scheduler(9);
-                treenet::run_for(&mut net, &mut sched, 20_000);
+                treenet::engine::run(&mut net, &mut sched, 20_000);
                 max_waiting(&waiting_times(net.trace()))
             })
         });

@@ -43,17 +43,17 @@ pub fn e10_ablation(scale: Scale) -> ExperimentReport {
             let trace_entries = match variant {
                 "pusher" => {
                     let mut net = analysis::scenarios::figure3_pusher_network(6);
-                    treenet::run_for(&mut net, &mut sched, steps);
+                    treenet::engine::run(&mut net, &mut sched, steps);
                     FairnessReport::from_trace(net.trace(), 3).entries_per_node[1]
                 }
                 "nonstab" => {
                     let mut net = analysis::scenarios::figure3_nonstab_network(6);
-                    treenet::run_for(&mut net, &mut sched, steps);
+                    treenet::engine::run(&mut net, &mut sched, steps);
                     FairnessReport::from_trace(net.trace(), 3).entries_per_node[1]
                 }
                 "ss" => {
                     let mut net = analysis::scenarios::figure3_ss_network(6);
-                    treenet::run_for(&mut net, &mut sched, steps);
+                    treenet::engine::run(&mut net, &mut sched, steps);
                     FairnessReport::from_trace(net.trace(), 3).entries_per_node[1]
                 }
                 "ss-literal-pusher" => {
@@ -63,7 +63,7 @@ pub fn e10_ablation(scale: Scale) -> ExperimentReport {
                         cfg,
                         analysis::scenarios::figure3_drivers(6),
                     );
-                    treenet::run_for(&mut net, &mut sched, steps);
+                    treenet::engine::run(&mut net, &mut sched, steps);
                     FairnessReport::from_trace(net.trace(), 3).entries_per_node[1]
                 }
                 _ => unreachable!(),
@@ -84,11 +84,11 @@ pub fn e10_ablation(scale: Scale) -> ExperimentReport {
             let tree = topology::builders::binary(6);
             let mut net = nonstab::network(tree, cfg, all_uniform(seed, 0.02, 2, 10));
             let mut sched = scheduler(4_000 + seed);
-            treenet::run_for(&mut net, &mut sched, 20_000);
+            treenet::engine::run(&mut net, &mut sched, 20_000);
             let mut injector = FaultInjector::new(seed);
             injector.inject(&mut net, &FaultPlan::catastrophic(cfg.cmax));
             // No controller: the census never recovers on its own.
-            treenet::run_for(&mut net, &mut sched, steps);
+            treenet::engine::run(&mut net, &mut sched, steps);
             if klex_core::is_legitimate(&net, &cfg) {
                 recovered += 1.0;
             }
@@ -102,7 +102,7 @@ pub fn e10_ablation(scale: Scale) -> ExperimentReport {
             let tree = topology::builders::binary(6);
             let mut net = ss::network(tree, cfg, all_uniform(seed, 0.02, 2, 10));
             let mut sched = scheduler(4_000 + seed);
-            treenet::run_for(&mut net, &mut sched, 50_000);
+            treenet::engine::run(&mut net, &mut sched, 50_000);
             let mut injector = FaultInjector::new(seed);
             injector.inject(&mut net, &FaultPlan::catastrophic(cfg.cmax));
             let out =
@@ -123,7 +123,7 @@ pub fn e10_ablation(scale: Scale) -> ExperimentReport {
             // Every node — including the root — keeps requesting.
             let mut net = ss::network(tree, cfg, workloads::all_saturated(2, 4));
             let mut sched = scheduler(5_000 + seed);
-            treenet::run_for(&mut net, &mut sched, steps);
+            treenet::engine::run(&mut net, &mut sched, steps);
             resets += net
                 .trace()
                 .events()

@@ -129,7 +129,7 @@ pub fn e15_crash_recovery(scale: Scale) -> ExperimentReport {
         let tree = topology::builders::binary(n);
         let mut sched = scheduler(9_100 + seed);
         let mut net = nonstab::network(tree, cfg, all_saturated(2, 40));
-        treenet::run_for(&mut net, &mut sched, 40_000);
+        treenet::engine::run(&mut net, &mut sched, 40_000);
         let mut injector = FaultInjector::new(9_200 + seed);
         injector.crash(&mut net, &[0], false);
         // Give the restarted root time to re-create its tokens and the requesters time to

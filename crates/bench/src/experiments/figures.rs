@@ -34,7 +34,7 @@ pub fn e1_dfs_circulation(scale: Scale) -> ExperimentReport {
         let cfg = KlConfig::new(1, 1, n);
         let mut net = naive::network(tree, cfg, |_| Box::new(Idle) as BoxedDriver);
         let mut sched = RoundRobin::new();
-        treenet::run_for(&mut net, &mut sched, 20_000);
+        treenet::engine::run(&mut net, &mut sched, 20_000);
         let hops = net.metrics().sent_of_kind("ResT");
         let circulations = hops as f64 / ring.len().max(1) as f64;
         let activations_per_hop = if hops > 0 { 20_000.0 / hops as f64 } else { f64::NAN };
@@ -139,17 +139,17 @@ pub fn e3_livelock(scale: Scale) -> ExperimentReport {
             let report: FairnessReport = match kind {
                 0 => {
                     let mut net = scenarios::figure3_pusher_network(6);
-                    treenet::run_for(&mut net, &mut sched, steps);
+                    treenet::engine::run(&mut net, &mut sched, steps);
                     FairnessReport::from_trace(net.trace(), 3)
                 }
                 1 => {
                     let mut net = scenarios::figure3_nonstab_network(6);
-                    treenet::run_for(&mut net, &mut sched, steps);
+                    treenet::engine::run(&mut net, &mut sched, steps);
                     FairnessReport::from_trace(net.trace(), 3)
                 }
                 _ => {
                     let mut net = scenarios::figure3_ss_network(6);
-                    treenet::run_for(&mut net, &mut sched, steps);
+                    treenet::engine::run(&mut net, &mut sched, steps);
                     FairnessReport::from_trace(net.trace(), 3)
                 }
             };
@@ -193,12 +193,12 @@ pub fn e3_livelock(scale: Scale) -> ExperimentReport {
             };
             let (a, rb) = if with_priority {
                 let mut net = klex_core::nonstab::network(tree.clone(), cfg, drivers);
-                treenet::run_for(&mut net, &mut sched, steps);
+                treenet::engine::run(&mut net, &mut sched, steps);
                 let rep = FairnessReport::from_trace(net.trace(), 3);
                 (rep.entries_per_node[1] as f64, (rep.entries_per_node[0] + rep.entries_per_node[2]) as f64)
             } else {
                 let mut net = klex_core::pusher::network(tree.clone(), cfg, drivers);
-                treenet::run_for(&mut net, &mut sched, steps);
+                treenet::engine::run(&mut net, &mut sched, steps);
                 let rep = FairnessReport::from_trace(net.trace(), 3);
                 (rep.entries_per_node[1] as f64, (rep.entries_per_node[0] + rep.entries_per_node[2]) as f64)
             };

@@ -38,7 +38,7 @@ pub fn e7_kl_liveness(scale: Scale) -> ExperimentReport {
             });
             let mut sched = scheduler(40 + seed);
             let horizon = scale.max_steps.min(1_500_000);
-            treenet::run_for(&mut net, &mut sched, horizon);
+            treenet::engine::run(&mut net, &mut sched, horizon);
             // Judge the steady state: only critical-section entries in the second half of the
             // run count, after the pinned processes have had ample time to acquire their
             // units and the protocol to stabilize.

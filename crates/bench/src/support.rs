@@ -5,7 +5,7 @@ use analysis::convergence::{default_window, measure_convergence};
 use klex_core::{is_legitimate, ss, KlConfig, KlInspect, Message};
 use topology::{OrientedTree, Topology};
 use treenet::app::BoxedDriver;
-use treenet::{Network, NodeId, Process, RandomFair, Scheduler};
+use treenet::{EventScheduler, Network, NodeId, Process, RandomFair};
 
 /// How big/long each experiment runs.
 #[derive(Clone, Debug)]
@@ -92,7 +92,7 @@ pub fn stabilized_ss_network(
     tree: OrientedTree,
     cfg: KlConfig,
     driver_for: impl FnMut(NodeId) -> BoxedDriver,
-    scheduler: &mut impl Scheduler,
+    scheduler: &mut impl EventScheduler,
     max_steps: u64,
 ) -> Option<Network<ss::SsNode, OrientedTree>> {
     let n = tree.len();
@@ -110,7 +110,7 @@ pub fn stabilized_ss_network(
 /// window.
 pub fn measure_throughput<P, T>(
     net: &mut Network<P, T>,
-    scheduler: &mut impl Scheduler,
+    scheduler: &mut impl EventScheduler,
     steps: u64,
 ) -> (u64, u64)
 where
@@ -119,7 +119,7 @@ where
 {
     let entries_before = net.trace().cs_entries(None) as u64;
     let messages_before = net.metrics().messages_sent;
-    treenet::run_for(net, scheduler, steps);
+    treenet::engine::run(net, scheduler, steps);
     let entries = net.trace().cs_entries(None) as u64 - entries_before;
     let messages = net.metrics().messages_sent - messages_before;
     (entries, messages)
@@ -133,7 +133,7 @@ pub fn scheduler(seed: u64) -> RandomFair {
 /// Sustained-legitimacy check used by a few experiments that manage their own run loop.
 pub fn run_until_stable<P, T>(
     net: &mut Network<P, T>,
-    sched: &mut impl Scheduler,
+    sched: &mut impl EventScheduler,
     cfg: &KlConfig,
     max_steps: u64,
     window: u64,

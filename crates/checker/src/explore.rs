@@ -1490,78 +1490,6 @@ impl<'p> Engine<'p> {
     }
 }
 
-/// A faithful retention of the pre-interning exploration loop (full `Configuration` values in
-/// a `HashMap`, cloned on every pop and push), kept as the reference point for the
-/// `exhaustive_checker` benchmark's speedup measurements.  Counts configurations and
-/// transitions only — no properties, graph recording, or deadlock detection.
-pub mod baseline {
-    use super::{Limits, Network, Topology};
-    use crate::snapshot::{capture, restore, CheckableNode, Configuration};
-    use std::collections::{HashMap, VecDeque};
-    use treenet::Activation;
-
-    /// Counts of one baseline exploration.
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct BaselineReport {
-        /// Number of distinct configurations visited.
-        pub configurations: usize,
-        /// Number of transitions executed.
-        pub transitions: usize,
-        /// True when the configuration limit was hit.
-        pub truncated: bool,
-    }
-
-    /// Explores with the pre-interning engine: SipHash-keyed `HashMap<Configuration, usize>`
-    /// visited set, full configuration clones on the hot path.
-    pub fn explore<P: CheckableNode, T: Topology>(
-        net: &mut Network<P, T>,
-        limits: Limits,
-    ) -> BaselineReport {
-        let n = net.len();
-        let degrees: Vec<usize> = (0..n).map(|v| net.topology().degree(v)).collect();
-        let initial = capture(net);
-        let mut ids: HashMap<Configuration, usize> = HashMap::new();
-        let mut configs: Vec<Configuration> = Vec::new();
-        let mut report = BaselineReport::default();
-        ids.insert(initial.clone(), 0);
-        configs.push(initial);
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        queue.push_back(0);
-        while let Some(id) = queue.pop_front() {
-            let config = configs[id].clone();
-            let mut activations: Vec<Activation> = Vec::new();
-            for v in 0..n {
-                for l in 0..degrees[v] {
-                    if !config.channels[v][l].is_empty() {
-                        activations.push(Activation::Deliver { node: v, channel: l });
-                    }
-                }
-            }
-            for v in 0..n {
-                activations.push(Activation::Tick { node: v });
-            }
-            for act in activations {
-                restore(net, &config);
-                net.execute(act);
-                let succ = capture(net);
-                report.transitions += 1;
-                if !ids.contains_key(&succ) {
-                    if configs.len() >= limits.max_configurations {
-                        report.truncated = true;
-                        continue;
-                    }
-                    let new_id = configs.len();
-                    ids.insert(succ.clone(), new_id);
-                    configs.push(succ);
-                    queue.push_back(new_id);
-                }
-            }
-        }
-        report.configurations = configs.len();
-        report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1943,24 +1871,5 @@ mod tests {
         assert_eq!(delta.configurations, interned.configurations);
         assert_eq!(delta.transitions, interned.transitions);
         assert_eq!(delta.frontier_sizes, interned.frontier_sizes);
-    }
-
-    #[test]
-    fn baseline_engine_agrees_with_the_interned_engine() {
-        let limits = Limits { max_configurations: 200_000, max_depth: usize::MAX };
-        let tree = topology::builders::chain(3);
-        let cfg = KlConfig::new(2, 2, 3);
-        let needs = [0usize, 2, 2];
-        let mut net = klex_core::naive::network(tree, cfg, drivers::from_needs(&needs));
-        let base = baseline::explore(&mut net, limits);
-        let mut net = klex_core::naive::network(
-            topology::builders::chain(3),
-            cfg,
-            drivers::from_needs(&needs),
-        );
-        let report = Explorer::new(&mut net).with_limits(limits).run();
-        assert_eq!(base.configurations, report.configurations);
-        assert_eq!(base.transitions, report.transitions);
-        assert!(!base.truncated && !report.truncated);
     }
 }

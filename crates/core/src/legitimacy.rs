@@ -125,7 +125,7 @@ mod tests {
             }
         });
         let mut sched = treenet::RoundRobin::new();
-        treenet::run_for(&mut net, &mut sched, 10_000);
+        treenet::engine::run(&mut net, &mut sched, 10_000);
         let census = count_tokens(&net);
         assert_eq!(census.resource, cfg.l, "reserved + in-flight resource tokens = l");
         assert_eq!(census.pusher, 0);
@@ -138,7 +138,7 @@ mod tests {
         let cfg = KlConfig::new(2, 3, 3);
         let mut net = nonstab::network(tree, cfg, |_| Box::new(Idle) as BoxedDriver);
         let mut sched = treenet::RoundRobin::new();
-        treenet::run_for(&mut net, &mut sched, 5_000);
+        treenet::engine::run(&mut net, &mut sched, 5_000);
         let census = count_tokens(&net);
         assert!(census.matches(cfg.l));
         assert!(is_legitimate(&net, &cfg));
@@ -151,7 +151,7 @@ mod tests {
         let cfg = KlConfig::new(2, 3, 3);
         let mut net = nonstab::network(tree, cfg, |_| Box::new(Idle) as BoxedDriver);
         let mut sched = treenet::RoundRobin::new();
-        treenet::run_for(&mut net, &mut sched, 2_000);
+        treenet::engine::run(&mut net, &mut sched, 2_000);
         net.inject_into(1, 0, Message::ResT);
         assert!(!is_legitimate(&net, &cfg));
         let census = count_tokens(&net);
@@ -164,7 +164,7 @@ mod tests {
         let cfg = KlConfig::new(2, 3, 3);
         let mut net = nonstab::network(tree, cfg, |_| Box::new(Idle) as BoxedDriver);
         let mut sched = treenet::RoundRobin::new();
-        treenet::run_for(&mut net, &mut sched, 2_000);
+        treenet::engine::run(&mut net, &mut sched, 2_000);
         assert!(is_legitimate(&net, &cfg));
         net.inject_into(2, 0, Message::Garbage(1));
         assert!(!is_legitimate(&net, &cfg));

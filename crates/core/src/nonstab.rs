@@ -245,7 +245,7 @@ mod tests {
         let cfg = KlConfig::new(1, 2, 7);
         let mut net = network(tree, cfg, |_| Box::new(Idle) as BoxedDriver);
         let mut sched = RoundRobin::new();
-        treenet::run_for(&mut net, &mut sched, 100);
+        treenet::engine::run(&mut net, &mut sched, 100);
         for _ in 0..5_000 {
             net.step(&mut sched);
             let in_flight = net.iter_messages().filter(|(_, _, m)| m.is_priority()).count();

@@ -193,7 +193,7 @@ mod tests {
         let cfg = KlConfig::new(2, 3, 7);
         let mut net = network(tree, cfg, |_| Box::new(Idle) as BoxedDriver);
         let mut sched = RoundRobin::new();
-        treenet::run_for(&mut net, &mut sched, 100);
+        treenet::engine::run(&mut net, &mut sched, 100);
         for _ in 0..5_000 {
             net.step(&mut sched);
             let pushers = net.iter_messages().filter(|(_, _, m)| m.is_pusher()).count();

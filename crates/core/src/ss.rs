@@ -645,7 +645,7 @@ mod tests {
     /// experiments.
     fn run_until_stable(
         net: &mut Network<SsNode, OrientedTree>,
-        sched: &mut impl treenet::Scheduler,
+        sched: &mut impl treenet::EventScheduler,
         max_steps: u64,
         window: u64,
         cfg: &KlConfig,

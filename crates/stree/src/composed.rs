@@ -19,7 +19,7 @@ use crate::protocol::{self, StConfig};
 use klex_core::{is_legitimate, KlConfig, SsNode};
 use topology::{OrientedTree, RootedGraph};
 use treenet::app::BoxedDriver;
-use treenet::{Network, NodeId, Scheduler};
+use treenet::{EventScheduler, Network, NodeId};
 
 /// Why a composition attempt failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -112,7 +112,7 @@ pub fn compose(
     st_cfg: StConfig,
     kl_cfg: KlConfig,
     mut driver_for: impl FnMut(NodeId) -> BoxedDriver,
-    sched: &mut impl Scheduler,
+    sched: &mut impl EventScheduler,
     budget: CompositionBudget,
 ) -> Result<Composition, CompositionError> {
     // Layer 1: spanning-tree construction.
@@ -181,7 +181,7 @@ pub fn compose_with_defaults(
     graph: RootedGraph,
     kl_cfg: KlConfig,
     driver_for: impl FnMut(NodeId) -> BoxedDriver,
-    sched: &mut impl Scheduler,
+    sched: &mut impl EventScheduler,
 ) -> Result<Composition, CompositionError> {
     let st_cfg = StConfig::for_graph(&graph);
     let budget = CompositionBudget::for_size(graph.len());

@@ -224,9 +224,9 @@ mod tests {
     use super::*;
     use crate::extract::{distances_are_exact, parent_map};
     use rand::SeedableRng;
-    use treenet::{RandomFair, RoundRobin, Scheduler};
+    use treenet::{EventScheduler, RandomFair, RoundRobin};
 
-    fn run(net: &mut Network<StNode, RootedGraph>, sched: &mut impl Scheduler, steps: u64) {
+    fn run(net: &mut Network<StNode, RootedGraph>, sched: &mut impl EventScheduler, steps: u64) {
         for _ in 0..steps {
             net.step(sched);
         }

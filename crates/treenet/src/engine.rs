@@ -1,15 +1,14 @@
-//! The event-driven execution core: the maintained enabled set and the fused run loop.
+//! The event-driven execution core: the maintained enabled set, the daemon interface and
+//! every run loop.
 //!
 //! # Why an enabled set
 //!
-//! The original execution core (retained as [`crate::scheduler::baseline`]) re-derives, on
-//! *every* step, which channels of the chosen process hold messages by scanning all of its
-//! incident channels through the dynamically-dispatched [`crate::NetworkView`] interface.
-//! For the guard-activation protocols this simulator runs (every token handler of the paper
-//! is a guard "a message of kind X is at the head of channel q"), that scan is wasted work:
-//! after an activation of process `p`, the only guards whose truth can have changed are those
-//! of `p` itself (it consumed a message) and of `p`'s tree neighbours (they received the
-//! messages `p` sent).  Everything else is unchanged.
+//! A daemon has to know which channels of the chosen process hold messages.  Re-deriving that
+//! by scanning all incident channels on *every* step is wasted work for the guard-activation
+//! protocols this simulator runs (every token handler of the paper is a guard "a message of
+//! kind X is at the head of channel q"): after an activation of process `p`, the only guards
+//! whose truth can have changed are those of `p` itself (it consumed a message) and of `p`'s
+//! tree neighbours (they received the messages `p` sent).  Everything else is unchanged.
 //!
 //! [`EnabledSet`] exploits exactly that structure.  The network maintains, incrementally and
 //! in O(1) per message push/pop:
@@ -35,16 +34,16 @@
 //! drop).  Because each activation of `p` touches only the channels of `p` and its
 //! neighbours, the maintenance cost per step is O(messages moved), not O(network).
 //!
-//! # Daemon equivalence
+//! # One daemon interface, one set of run loops
 //!
-//! Event-driven daemons draw from the maintained set with the *same RNG discipline* as their
-//! scan-based counterparts in [`crate::scheduler::baseline`] (same generator, same number of
-//! draws, same ranges, in the same order), so both engines produce bit-identical activation
-//! sequences, traces and metrics — the event engine is a pure performance refactor.  The
-//! shared decision logic lives in [`crate::scheduler`] and is instantiated twice: once over
-//! `&dyn EnabledView` (drop-in [`crate::Scheduler`] use) and once over the concrete
-//! [`EnabledShape`] (the fused, fully monomorphized [`run`] loop below, which avoids all
-//! virtual dispatch on the hot path).
+//! Daemons implement [`EventScheduler`] and read the set through the concrete
+//! [`EnabledShape`] handle, so every query is an inlinable array access.  All run loops live
+//! here — [`run`], [`run_observed`], [`run_until`], [`run_until_quiescent`] — plus the
+//! single-step [`Network::step`] and the snapshot-interposing loops of [`crate::snapshot`];
+//! each is monomorphized over the daemon, with no virtual dispatch on the hot path.  Scan-based
+//! daemons that re-derive occupancy from the raw channels exist only as the test oracle of
+//! `tests/engine_equivalence.rs`, which asserts bit-identical activation sequences, traces
+//! and metrics.
 
 use crate::network::Network;
 use crate::process::Process;
@@ -254,8 +253,8 @@ impl EnabledSet {
 /// A borrowed, concrete view of the enabled set handed to [`EventScheduler`]s by the fused
 /// run loop.
 ///
-/// Unlike `&dyn `[`crate::EnabledView`], every query on this handle is a direct, inlinable
-/// array access — no virtual dispatch on the per-step hot path.
+/// Every query on this handle is a direct, inlinable array access — no virtual dispatch on
+/// the per-step hot path.
 #[derive(Clone, Copy)]
 pub struct EnabledShape<'a> {
     set: &'a EnabledSet,
@@ -311,23 +310,60 @@ impl<'a> EnabledShape<'a> {
     }
 }
 
-/// A daemon usable by the fused, monomorphized run loop.
+/// A daemon: chooses the next activation from the shape of the network.
 ///
 /// Every bundled daemon ([`crate::RoundRobin`], [`crate::RandomFair`],
-/// [`crate::Synchronous`], [`crate::Adversarial`]) implements both this trait and the
-/// dynamically-dispatched [`crate::Scheduler`]; both entry points share one decision
-/// function, so the chosen activations are identical — only the dispatch cost differs.
+/// [`crate::Synchronous`], [`crate::Adversarial`]) implements it, and every run loop drives
+/// it.  A daemon sees only the maintained enabled set — which channels hold messages, and
+/// node degrees — never protocol state.
 pub trait EventScheduler {
     /// Returns the next activation, reading network shape from the maintained enabled set.
     fn next_event(&mut self, shape: &EnabledShape<'_>) -> Activation;
 }
 
-/// Runs `steps` activations of `net` under `daemon` through the fused event-driven loop.
-///
-/// Equivalent to [`crate::run_for`] with the same daemon (bit-identical activation sequence,
-/// trace and metrics) but with every scheduling query inlined against the maintained enabled
-/// set — this is the fast path used by the simulation benchmarks and sharded experiment
-/// drivers.
+/// Why a bounded run stopped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RunOutcome {
+    /// The stop predicate became true at the reported logical time.
+    Satisfied(u64),
+    /// The step budget was exhausted before the predicate held; carries the logical time at
+    /// which the budget ran out, so callers can report *when* they gave up.
+    Exhausted(u64),
+    /// The network became quiescent (no message in flight) at the reported logical time.
+    Quiescent(u64),
+}
+
+impl RunOutcome {
+    /// The logical time at which the run stopped for a definite reason (the predicate held or
+    /// the network went quiescent); `None` when the budget merely ran out.
+    pub fn time(&self) -> Option<u64> {
+        match self {
+            RunOutcome::Satisfied(t) | RunOutcome::Quiescent(t) => Some(*t),
+            RunOutcome::Exhausted(_) => None,
+        }
+    }
+
+    /// The logical time at which the run stopped, for *any* reason — including budget
+    /// exhaustion.
+    pub fn at(&self) -> u64 {
+        match self {
+            RunOutcome::Satisfied(t) | RunOutcome::Quiescent(t) | RunOutcome::Exhausted(t) => *t,
+        }
+    }
+
+    /// True when the predicate was satisfied.
+    pub fn is_satisfied(&self) -> bool {
+        matches!(self, RunOutcome::Satisfied(_))
+    }
+
+    /// True when the step budget ran out before the run stopped for a definite reason.
+    pub fn is_exhausted(&self) -> bool {
+        matches!(self, RunOutcome::Exhausted(_))
+    }
+}
+
+/// Runs exactly `steps` activations of `net` under `daemon` through the fused loop, with
+/// every scheduling query inlined against the maintained enabled set.
 pub fn run<P: Process, T: Topology, S: EventScheduler>(
     net: &mut Network<P, T>,
     daemon: &mut S,
@@ -349,21 +385,19 @@ pub fn run_observed<P: Process, T: Topology, S: EventScheduler>(
     net.run_event(daemon, steps, observer);
 }
 
-/// Runs the fused loop until `pred(net)` holds (checked after every activation) or
-/// `max_steps` activations have been executed; returns the outcome exactly like
-/// [`crate::run_until`].
+/// Runs until `pred(net)` holds (checked before the first and after every activation) or
+/// `max_steps` activations have been executed.
 pub fn run_until<P: Process, T: Topology, S: EventScheduler>(
     net: &mut Network<P, T>,
     daemon: &mut S,
     max_steps: u64,
     mut pred: impl FnMut(&Network<P, T>) -> bool,
-) -> crate::runner::RunOutcome {
-    use crate::runner::RunOutcome;
+) -> RunOutcome {
     if pred(net) {
         return RunOutcome::Satisfied(net.now());
     }
     for _ in 0..max_steps {
-        net.step_event(daemon);
+        net.step(daemon);
         if pred(net) {
             return RunOutcome::Satisfied(net.now());
         }
@@ -371,9 +405,45 @@ pub fn run_until<P: Process, T: Topology, S: EventScheduler>(
     RunOutcome::Exhausted(net.now())
 }
 
+/// Runs until no message is in flight for a full sweep of `grace` consecutive activations
+/// (i.e. the network is quiescent: nothing will ever change again unless a process
+/// spontaneously sends), or until `max_steps` is exhausted.
+///
+/// A protocol with a root timeout is never truly quiescent; this helper is meant for the
+/// *non*-self-stabilizing protocol variants, where quiescence with unsatisfied requests is
+/// exactly the deadlock illustrated in Figure 2 of the paper.  [`Network::in_flight`] is
+/// maintained in O(1) by the enabled set, so quiescence detection adds nothing per step.
+pub fn run_until_quiescent<P: Process, T: Topology, S: EventScheduler>(
+    net: &mut Network<P, T>,
+    daemon: &mut S,
+    max_steps: u64,
+    grace: u64,
+) -> RunOutcome {
+    let mut quiet_for = 0u64;
+    for _ in 0..max_steps {
+        if net.in_flight() == 0 {
+            quiet_for += 1;
+            if quiet_for >= grace {
+                return RunOutcome::Quiescent(net.now());
+            }
+        } else {
+            quiet_for = 0;
+        }
+        net.step(daemon);
+    }
+    if net.in_flight() == 0 {
+        RunOutcome::Quiescent(net.now())
+    } else {
+        RunOutcome::Exhausted(net.now())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::{Context, MessageKind};
+    use crate::scheduler::RoundRobin;
+    use topology::builders;
 
     fn set_of(degrees: &[usize]) -> EnabledSet {
         EnabledSet::new(degrees)
@@ -444,5 +514,89 @@ mod tests {
         assert_eq!(s.next_deliverable_from(0, 130 - 1), Some(129));
         s.note_len(0, 129, 0);
         assert_eq!(s.next_deliverable_from(0, 100), Some(70), "wraps around");
+    }
+
+    #[derive(Clone, Debug)]
+    struct Ping;
+    impl MessageKind for Ping {
+        fn kind(&self) -> &'static str {
+            "ping"
+        }
+    }
+
+    /// Root sends a bounded number of pings down; everyone forwards until they die out at
+    /// leaves (leaf swallows them), so the network eventually becomes quiescent.
+    struct Limited {
+        is_root: bool,
+        to_send: u32,
+        seen: u32,
+    }
+    impl Process for Limited {
+        type Msg = Ping;
+        fn on_message(&mut self, from: ChannelLabel, _m: Ping, ctx: &mut Context<'_, Ping>) {
+            self.seen += 1;
+            // Forward towards children only (never back to channel 0 unless root).
+            if ctx.degree > 1 || self.is_root {
+                let next = (from + 1) % ctx.degree;
+                if next != 0 || self.is_root {
+                    ctx.send(next, Ping);
+                }
+            }
+        }
+        fn on_tick(&mut self, ctx: &mut Context<'_, Ping>) {
+            if self.is_root && self.to_send > 0 {
+                self.to_send -= 1;
+                ctx.send(0, Ping);
+            }
+        }
+    }
+
+    fn net() -> Network<Limited, topology::OrientedTree> {
+        Network::new(builders::chain(5), |id| Limited { is_root: id == 0, to_send: 3, seen: 0 })
+    }
+
+    #[test]
+    fn run_advances_the_clock() {
+        let mut n = net();
+        let mut s = RoundRobin::new();
+        run(&mut n, &mut s, 42);
+        assert_eq!(n.now(), 42);
+    }
+
+    #[test]
+    fn run_until_detects_predicate() {
+        let mut n = net();
+        let mut s = RoundRobin::new();
+        let out = run_until(&mut n, &mut s, 10_000, |net| net.node(1).seen >= 3);
+        assert!(out.is_satisfied());
+        assert!(out.time().unwrap() > 0);
+    }
+
+    #[test]
+    fn run_until_gives_up_after_budget() {
+        let mut n = net();
+        let mut s = RoundRobin::new();
+        let out = run_until(&mut n, &mut s, 50, |net| net.node(4).seen >= 100);
+        assert_eq!(out, RunOutcome::Exhausted(50));
+        assert_eq!(out.time(), None);
+        assert_eq!(out.at(), 50);
+        assert!(out.is_exhausted());
+    }
+
+    #[test]
+    fn run_until_quiescent_terminates_on_dead_network() {
+        let mut n = net();
+        let mut s = RoundRobin::new();
+        let out = run_until_quiescent(&mut n, &mut s, 100_000, 20);
+        assert!(matches!(out, RunOutcome::Quiescent(_)));
+        assert_eq!(n.in_flight(), 0);
+    }
+
+    #[test]
+    fn predicate_checked_before_first_step() {
+        let mut n = net();
+        let mut s = RoundRobin::new();
+        let out = run_until(&mut n, &mut s, 10, |_| true);
+        assert_eq!(out, RunOutcome::Satisfied(0));
     }
 }

@@ -11,26 +11,23 @@
 //! * executions are **asynchronous but fair**: every process takes infinitely many steps but
 //!   there is no bound on the delay between two steps of a process.
 //!
-//! The simulator realises a step as an [`Activation`] chosen by a pluggable [`Scheduler`]:
-//! either *deliver* the head message of one incoming channel to its process, or give the
-//! process a *tick* (one pass over the bottom-of-loop actions: request issuing, critical
-//! section entry/exit, timeouts).  Fair schedulers ([`scheduler::RoundRobin`],
+//! The simulator realises a step as an [`Activation`] chosen by a daemon — any
+//! [`EventScheduler`]: either *deliver* the head message of one incoming channel to its
+//! process, or give the process a *tick* (one pass over the bottom-of-loop actions: request
+//! issuing, critical section entry/exit, timeouts).  Fair daemons ([`scheduler::RoundRobin`],
 //! [`scheduler::RandomFair`]) guarantee the paper's fairness assumption; the
 //! [`scheduler::Synchronous`] daemon serializes lock-step rounds; the
-//! [`scheduler::Adversarial`] scheduler exercises bounded unfairness to stress waiting times.
+//! [`scheduler::Adversarial`] daemon exercises bounded unfairness to stress waiting times.
 //!
-//! # Two execution engines
+//! # One execution engine
 //!
-//! Every daemon exists in two flavours with **bit-identical semantics** (same activation
-//! sequences, traces and metrics):
-//!
-//! * the **event-driven engine** ([`engine`]) — the default: the network incrementally
-//!   maintains the set of enabled delivery guards (non-empty channels), daemons read it in
-//!   O(1), and the fused loop [`engine::run`] monomorphizes daemon + network into one
-//!   allocation-free hot loop;
-//! * the **scan-based baseline** ([`scheduler::baseline`]) — the original engine that
-//!   re-derives channel occupancy on every step, retained as the executable specification
-//!   for the trace-equivalence suite and the `BENCH_treenet.json` comparison.
+//! The network incrementally maintains the set of enabled delivery guards (non-empty
+//! channels), and every daemon reads it in O(1) through an [`EnabledShape`] handle.  Every
+//! run loop — [`Network::step`], [`engine::run`], [`run_until`], [`run_until_quiescent`]
+//! and the snapshot runner — is monomorphized over the daemon, so one allocation-free hot
+//! loop serves every experiment (see [`engine`]).  Scan-based daemons that re-derive channel
+//! occupancy on every step exist only as the test oracle the trace-equivalence suite checks
+//! this engine against.
 //!
 //! Transient faults are modelled by [`fault::FaultInjector`], which corrupts local process
 //! state (through the [`fault::Corruptible`] trait), injects bounded channel garbage
@@ -56,7 +53,6 @@ pub mod fault;
 pub mod metrics;
 pub mod network;
 pub mod process;
-pub mod runner;
 pub mod scheduler;
 pub mod slab;
 pub mod snapshot;
@@ -65,15 +61,18 @@ pub mod trace;
 pub use app::{AppDriver, CsState};
 pub use channel::Channel;
 pub use clocks::LamportClocks;
-pub use engine::{EnabledSet, EnabledShape, EventScheduler};
-pub use fault::{ArbitraryMessage, Corruptible, FaultInjector, FaultPlan, FaultReport, Restartable};
+pub use engine::{
+    run_until, run_until_quiescent, EnabledSet, EnabledShape, EventScheduler, RunOutcome,
+};
+pub use fault::{
+    ArbitraryMessage, Corruptible, FaultInjector, FaultPlan, FaultReport, Restartable,
+};
 pub use metrics::Metrics;
-pub use network::{ChannelMut, EnabledView, Network, NetworkView, StepUndo};
+pub use network::{ChannelMut, Network, StepUndo};
 pub use process::{Context, Event, MessageKind, Process};
-pub use runner::{run_for, run_until, run_until_quiescent, RunOutcome};
 pub use scheduler::{
     Activation, Adversarial, AdversarialDaemon, CentralDaemon, DistributedDaemon, RandomFair,
-    RoundRobin, Scheduler, Synchronous, SynchronousDaemon,
+    RoundRobin, Synchronous, SynchronousDaemon,
 };
 pub use slab::ChannelSlab;
 pub use snapshot::{

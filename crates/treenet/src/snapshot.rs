@@ -299,7 +299,7 @@ pub fn run_until_with_snapshots<P, T, S, O>(
     runner: &mut SnapshotRunner,
     observer: &mut O,
     mut pred: impl FnMut(&Network<P, T>) -> bool,
-) -> crate::runner::RunOutcome
+) -> crate::engine::RunOutcome
 where
     P: Process,
     P::Msg: SnapshotMessage,
@@ -307,7 +307,7 @@ where
     S: EventScheduler,
     O: SnapshotObserver<P>,
 {
-    use crate::runner::RunOutcome;
+    use crate::engine::RunOutcome;
     if pred(net) {
         return RunOutcome::Satisfied(net.now());
     }

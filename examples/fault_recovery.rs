@@ -90,7 +90,7 @@ fn main() {
 
     // Phase 4: service continues as if nothing happened.
     net.trace_mut().clear();
-    run_for(&mut net, &mut sched, 150_000);
+    engine::run(&mut net, &mut sched, 150_000);
     let fairness = FairnessReport::from_trace(net.trace(), net.len());
     println!("critical sections in the 150k activations after recovery: {}", fairness.total_entries());
     assert!(count_tokens(&net).matches(cfg.l));

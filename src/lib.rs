@@ -76,8 +76,8 @@ pub mod prelude {
     };
     pub use topology::{OrientedTree, Ring, Topology, VirtualRing};
     pub use treenet::{
-        engine, run_for, run_until, run_until_quiescent, Adversarial, AppDriver, CsState, Event,
-        FaultInjector, FaultPlan, Network, RandomFair, Restartable, RoundRobin, Scheduler,
+        engine, run_until, run_until_quiescent, Adversarial, AppDriver, CsState, Event,
+        EventScheduler, FaultInjector, FaultPlan, Network, RandomFair, Restartable, RoundRobin,
         Synchronous,
     };
 }

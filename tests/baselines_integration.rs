@@ -72,7 +72,7 @@ fn safety_holds_for_every_baseline_under_heterogeneous_load() {
     {
         let mut net = baselines::ring::network(n, cfg, driver);
         let mut sched = RandomFair::new(11);
-        run_for(&mut net, &mut sched, 150_000);
+        engine::run(&mut net, &mut sched, 150_000);
         for _ in 0..50_000u64 {
             net.step(&mut sched);
             let used: usize = net.nodes().map(|nd| nd.units_in_use()).sum();
@@ -144,7 +144,7 @@ fn tree_protocol_survives_faults_that_break_the_non_stabilizing_baselines() {
         }
     }
     let before: Vec<usize> = (0..n).map(|v| net.trace().cs_entries(Some(v))).collect();
-    run_for(&mut net, &mut sched, 400_000);
+    engine::run(&mut net, &mut sched, 400_000);
     let after: Vec<usize> = (0..n).map(|v| net.trace().cs_entries(Some(v))).collect();
     let stuck = (0..n).filter(|&v| after[v] == before[v]).count();
     assert!(

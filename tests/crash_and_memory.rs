@@ -13,7 +13,7 @@ use proptest::prelude::*;
 /// Stabilize a network and clear its counters, panicking if it never stabilizes.
 fn stabilize(
     net: &mut Network<protocol::SsNode, OrientedTree>,
-    sched: &mut impl Scheduler,
+    sched: &mut impl EventScheduler,
     cfg: &KlConfig,
 ) {
     let out = measure_convergence(net, sched, cfg, 4_000_000, 2_000);
@@ -138,7 +138,7 @@ fn new_workload_drivers_are_served_and_starvation_free() {
     });
     let mut sched = RandomFair::new(123);
     stabilize(&mut net, &mut sched, &cfg);
-    run_for(&mut net, &mut sched, 250_000);
+    engine::run(&mut net, &mut sched, 250_000);
     let fairness = FairnessReport::from_trace(net.trace(), n);
     assert!(fairness.starvation_free(), "starved nodes: {:?}", fairness.starved);
     // Safety held throughout (spot-check the final configuration).

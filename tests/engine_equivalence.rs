@@ -1,12 +1,15 @@
-//! Trace equivalence of the two execution engines.
+//! Trace equivalence of the event-driven engine against a scan-based test oracle.
 //!
-//! The event-driven engine (maintained enabled set, `treenet::engine`) must be a *pure
-//! performance refactor* of the scan-based baseline (`treenet::scheduler::baseline`): for
-//! every daemon, every topology and every seed, all three execution paths —
+//! The bundled daemons (`treenet::scheduler`) read the enabled set the network maintains
+//! incrementally.  The oracle daemons below are their executable specification: each one
+//! re-derives channel occupancy on every step from nothing but `net.channel(v, c)` and
+//! `net.topology().degree(v)`, and drives the network with `net.execute`.  For every daemon,
+//! every topology and every seed, all three execution paths —
 //!
-//! 1. the scan-based baseline daemon through `Network::step`,
-//! 2. the event-driven daemon through `Network::step` (dynamic dispatch, O(1) queries),
-//! 3. the event-driven daemon through the fused loop `engine::run_observed`,
+//! 1. the oracle daemon, one `Network::execute` per decision,
+//! 2. the bundled daemon through the fused loop `engine::run_observed`,
+//! 3. the bundled daemon through `Network::step` (the single-step path of `run_until` and
+//!    the scenario stops),
 //!
 //! — must produce **identical activation sequences, traces, and metrics**.  A proptest
 //! additionally checks the enabled-set invariant itself against brute-force recomputation
@@ -14,9 +17,9 @@
 
 use kl_exclusion::prelude::*;
 use proptest::prelude::*;
-use treenet::engine;
-use treenet::scheduler::baseline;
-use treenet::{Activation, EventScheduler, Synchronous};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use treenet::{Activation, NodeId};
 use workloads::UniformRandom;
 
 type SsNet = Network<SsNode, OrientedTree>;
@@ -36,64 +39,212 @@ fn scenario(tree: OrientedTree, seed: u64) -> SsNet {
     net
 }
 
+/// The topologies every daemon is checked on.  The wide star's hub has 129 channels, so its
+/// occupancy bits span three words of the enabled set's bitset.
 fn shapes() -> Vec<(&'static str, OrientedTree)> {
     vec![
         ("chain", topology::builders::chain(9)),
         ("star", topology::builders::star(9)),
+        ("wide-star", topology::builders::star(130)),
         ("binary", topology::builders::binary(15)),
         ("random", topology::builders::random_tree(12, 5)),
     ]
 }
 
-/// Runs `steps` activations through the dynamically dispatched path, recording the sequence.
-fn run_dyn(net: &mut SsNet, sched: &mut impl Scheduler, steps: u64) -> Vec<Activation> {
-    (0..steps).map(|_| net.step(sched)).collect()
+// ------------------------------------------------------------------------ the scan oracle
+
+/// A scan-based daemon: decides from the raw channels, with no enabled set.
+trait ScanDaemon {
+    fn next(&mut self, net: &SsNet) -> Activation;
 }
 
-/// Runs `steps` activations through the fused event loop, recording the sequence.
-fn run_fused(net: &mut SsNet, sched: &mut impl EventScheduler, steps: u64) -> Vec<Activation> {
-    let mut seq = Vec::with_capacity(steps as usize);
-    engine::run_observed(net, sched, steps, |a| seq.push(a));
-    seq
+fn degree(net: &SsNet, v: NodeId) -> usize {
+    net.topology().degree(v)
 }
 
-/// Serialized observable outcome of a run: metrics and the application-level trace.
+fn non_empty(net: &SsNet, v: NodeId, c: usize) -> bool {
+    !net.channel(v, c).is_empty()
+}
+
+/// The first non-empty channel of `v` at or cyclically after `start`.
+fn scan_from(net: &SsNet, v: NodeId, start: usize) -> Option<usize> {
+    let d = degree(net, v);
+    (0..d).map(|off| (start + off) % d).find(|&c| non_empty(net, v, c))
+}
+
+#[derive(Default)]
+struct ScanRoundRobin {
+    cursor: usize,
+    channel_cursor: Vec<usize>,
+}
+
+impl ScanDaemon for ScanRoundRobin {
+    fn next(&mut self, net: &SsNet) -> Activation {
+        let n = net.len();
+        if self.channel_cursor.len() != n {
+            self.channel_cursor = vec![0; n];
+        }
+        let node = self.cursor % n;
+        self.cursor = (self.cursor + 1) % n;
+        match scan_from(net, node, self.channel_cursor[node]) {
+            Some(channel) => {
+                self.channel_cursor[node] = (channel + 1) % degree(net, node);
+                Activation::Deliver { node, channel }
+            }
+            None => Activation::Tick { node },
+        }
+    }
+}
+
+struct ScanRandomFair {
+    rng: StdRng,
+    deliver_bias: f64,
+}
+
+impl ScanRandomFair {
+    fn new(seed: u64, deliver_bias: f64) -> Self {
+        ScanRandomFair { rng: StdRng::seed_from_u64(seed), deliver_bias }
+    }
+}
+
+impl ScanDaemon for ScanRandomFair {
+    fn next(&mut self, net: &SsNet) -> Activation {
+        let node = self.rng.gen_range(0..net.len());
+        let full: Vec<usize> =
+            (0..degree(net, node)).filter(|&c| non_empty(net, node, c)).collect();
+        if !full.is_empty() && self.rng.gen_bool(self.deliver_bias) {
+            let channel = full[self.rng.gen_range(0..full.len())];
+            Activation::Deliver { node, channel }
+        } else {
+            Activation::Tick { node }
+        }
+    }
+}
+
+/// Rebuilds the round snapshot by scanning every channel of every node at each boundary.
+#[derive(Default)]
+struct ScanSynchronous {
+    round: Vec<Option<usize>>,
+    cursor: usize,
+}
+
+impl ScanDaemon for ScanSynchronous {
+    fn next(&mut self, net: &SsNet) -> Activation {
+        let n = net.len();
+        if self.round.len() != n {
+            self.round = vec![None; n];
+            self.cursor = 0;
+        }
+        if self.cursor == 0 {
+            for (v, slot) in self.round.iter_mut().enumerate() {
+                *slot = (0..degree(net, v)).find(|&c| non_empty(net, v, c));
+            }
+        }
+        let node = self.cursor;
+        self.cursor = (self.cursor + 1) % n;
+        match self.round[node] {
+            Some(channel) => Activation::Deliver { node, channel },
+            None => Activation::Tick { node },
+        }
+    }
+}
+
+struct ScanAdversarial {
+    victims: Vec<NodeId>,
+    patience: u64,
+    counter: u64,
+    inner: ScanRoundRobin,
+    victim_cursor: usize,
+    victim_channel_cursor: usize,
+}
+
+impl ScanAdversarial {
+    fn new(victims: Vec<NodeId>, patience: u64) -> Self {
+        ScanAdversarial {
+            victims,
+            patience: patience.max(1),
+            counter: 0,
+            inner: ScanRoundRobin::default(),
+            victim_cursor: 0,
+            victim_channel_cursor: 0,
+        }
+    }
+}
+
+impl ScanDaemon for ScanAdversarial {
+    fn next(&mut self, net: &SsNet) -> Activation {
+        self.counter += 1;
+        if !self.victims.is_empty() && self.counter.is_multiple_of(self.patience) {
+            let node = self.victims[self.victim_cursor % self.victims.len()];
+            self.victim_cursor += 1;
+            return match scan_from(net, node, self.victim_channel_cursor) {
+                Some(channel) => {
+                    self.victim_channel_cursor = (channel + 1) % degree(net, node);
+                    Activation::Deliver { node, channel }
+                }
+                None => Activation::Tick { node },
+            };
+        }
+        // Otherwise schedule a non-victim; when every node is a victim, any node will do.
+        let everyone = (0..net.len()).all(|v| self.victims.contains(&v));
+        loop {
+            let act = self.inner.next(net);
+            let (Activation::Deliver { node, .. } | Activation::Tick { node }) = act;
+            if everyone || !self.victims.contains(&node) {
+                return act;
+            }
+        }
+    }
+}
+
+// ------------------------------------------------------------------- trace-equivalence runs
+
+/// Serialized observable outcome of a run: metrics and the application-level trace length.
 fn observables(net: &SsNet) -> String {
     let metrics = serde_json::to_string(net.metrics()).expect("metrics serialize");
     let events = net.trace().events().len();
     format!("{metrics}|events={events}")
 }
 
-fn assert_equivalent(
+fn assert_same_sequence(label: &str, path: &str, oracle: &[Activation], other: &[Activation]) {
+    assert_eq!(oracle.len(), other.len(), "{label}: {path} ran a different number of steps");
+    if let Some(i) = (0..oracle.len()).find(|&i| oracle[i] != other[i]) {
+        panic!("{label}: oracle vs {path} differ at step {i}: {:?} vs {:?}", oracle[i], other[i]);
+    }
+}
+
+/// Runs `steps` activations of the same scenario through the oracle, the fused loop and the
+/// single-step path, and asserts that all three are indistinguishable.
+fn assert_equivalent<S: EventScheduler + Clone>(
     label: &str,
     tree: OrientedTree,
     seed: u64,
     steps: u64,
-    mut make_baseline: impl FnMut() -> Box<dyn Scheduler>,
-    mut make_event: impl FnMut() -> Box<dyn Scheduler>,
-    fused: impl FnOnce(&mut SsNet, u64) -> Vec<Activation>,
+    mut oracle: impl ScanDaemon,
+    daemon: S,
 ) {
-    let mut reference_net = scenario(tree.clone(), seed);
-    let reference_seq = run_dyn(&mut reference_net, &mut make_baseline(), steps);
+    let mut oracle_net = scenario(tree.clone(), seed);
+    let oracle_seq: Vec<Activation> = (0..steps)
+        .map(|_| {
+            let act = oracle.next(&oracle_net);
+            oracle_net.execute(act);
+            act
+        })
+        .collect();
 
-    let mut event_net = scenario(tree.clone(), seed);
-    let event_seq = run_dyn(&mut event_net, &mut make_event(), steps);
+    let mut fused_net = scenario(tree.clone(), seed);
+    let mut fused_seq = Vec::with_capacity(steps as usize);
+    engine::run_observed(&mut fused_net, &mut daemon.clone(), steps, |a| fused_seq.push(a));
 
-    let mut fused_net = scenario(tree, seed);
-    let fused_seq = fused(&mut fused_net, steps);
+    let mut step_net = scenario(tree, seed);
+    let mut stepped = daemon;
+    let step_seq: Vec<Activation> = (0..steps).map(|_| step_net.step(&mut stepped)).collect();
 
-    assert_eq!(reference_seq, event_seq, "{label}: baseline vs event drop-in sequences differ");
-    assert_eq!(reference_seq, fused_seq, "{label}: baseline vs fused sequences differ");
-    assert_eq!(
-        observables(&reference_net),
-        observables(&event_net),
-        "{label}: baseline vs event drop-in metrics differ"
-    );
-    assert_eq!(
-        observables(&reference_net),
-        observables(&fused_net),
-        "{label}: baseline vs fused metrics differ"
-    );
+    assert_same_sequence(label, "fused", &oracle_seq, &fused_seq);
+    assert_same_sequence(label, "step", &oracle_seq, &step_seq);
+    let expected = observables(&oracle_net);
+    assert_eq!(expected, observables(&fused_net), "{label}: oracle vs fused metrics differ");
+    assert_eq!(expected, observables(&step_net), "{label}: oracle vs step metrics differ");
 }
 
 #[test]
@@ -104,9 +255,8 @@ fn round_robin_is_trace_equivalent_across_shapes() {
             tree,
             11,
             40_000,
-            || Box::new(baseline::RoundRobin::new()),
-            || Box::new(RoundRobin::new()),
-            |net, steps| run_fused(net, &mut RoundRobin::new(), steps),
+            ScanRoundRobin::default(),
+            RoundRobin::new(),
         );
     }
 }
@@ -120,9 +270,8 @@ fn random_fair_is_trace_equivalent_across_shapes_and_seeds() {
                 tree.clone(),
                 seed,
                 40_000,
-                move || Box::new(baseline::RandomFair::new(seed)),
-                move || Box::new(RandomFair::new(seed)),
-                move |net, steps| run_fused(net, &mut RandomFair::new(seed), steps),
+                ScanRandomFair::new(seed, 0.75),
+                RandomFair::new(seed),
             );
         }
     }
@@ -130,19 +279,17 @@ fn random_fair_is_trace_equivalent_across_shapes_and_seeds() {
 
 #[test]
 fn random_fair_bias_extremes_are_trace_equivalent() {
-    let tree = topology::builders::random_tree(10, 8);
-    for bias in [0.0, 0.5, 1.0] {
-        assert_equivalent(
-            &format!("random-fair/bias{bias}"),
-            tree.clone(),
-            19,
-            30_000,
-            move || Box::new(baseline::RandomFair::new(7).with_deliver_bias(bias)),
-            move || Box::new(RandomFair::new(7).with_deliver_bias(bias)),
-            move |net, steps| {
-                run_fused(net, &mut RandomFair::new(7).with_deliver_bias(bias), steps)
-            },
-        );
+    for (name, tree) in shapes() {
+        for bias in [0.0, 0.5, 1.0] {
+            assert_equivalent(
+                &format!("random-fair/{name}/bias{bias}"),
+                tree.clone(),
+                19,
+                30_000,
+                ScanRandomFair::new(7, bias),
+                RandomFair::new(7).with_deliver_bias(bias),
+            );
+        }
     }
 }
 
@@ -154,9 +301,8 @@ fn synchronous_is_trace_equivalent_across_shapes() {
             tree,
             23,
             40_000,
-            || Box::new(baseline::Synchronous::new()),
-            || Box::new(Synchronous::new()),
-            |net, steps| run_fused(net, &mut Synchronous::new(), steps),
+            ScanSynchronous::default(),
+            Synchronous::new(),
         );
     }
 }
@@ -170,17 +316,20 @@ fn adversarial_is_trace_equivalent_across_shapes() {
             tree,
             31,
             40_000,
-            {
-                let victims = victims.clone();
-                move || Box::new(baseline::Adversarial::new(victims.clone(), 7))
-            },
-            {
-                let victims = victims.clone();
-                move || Box::new(Adversarial::new(victims.clone(), 7))
-            },
-            |net, steps| run_fused(net, &mut Adversarial::new(victims.clone(), 7), steps),
+            ScanAdversarial::new(victims.clone(), 7),
+            Adversarial::new(victims, 7),
         );
     }
+    // A victim list whose duplicates cover every node: the daemon must fall back to
+    // scheduling victims instead of searching forever for a non-victim.
+    assert_equivalent(
+        "adversarial/chain2-duplicate-victims",
+        topology::builders::chain(2),
+        31,
+        10_000,
+        ScanAdversarial::new(vec![0, 1, 1], 5),
+        Adversarial::new(vec![0, 1, 1], 5),
+    );
 }
 
 // ------------------------------------------------------------- enabled-set invariant checks

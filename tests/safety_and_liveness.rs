@@ -7,7 +7,7 @@ use kl_exclusion::prelude::*;
 /// Stabilize a network and clear its counters, panicking if it never stabilizes.
 fn stabilize(
     net: &mut Network<protocol::SsNode, OrientedTree>,
-    sched: &mut impl Scheduler,
+    sched: &mut impl EventScheduler,
     cfg: &KlConfig,
 ) {
     let out = measure_convergence(net, sched, cfg, 4_000_000, 2_000);
@@ -62,7 +62,7 @@ fn every_request_size_up_to_k_is_served() {
     });
     let mut sched = RandomFair::new(5);
     stabilize(&mut net, &mut sched, &cfg);
-    run_for(&mut net, &mut sched, 300_000);
+    engine::run(&mut net, &mut sched, 300_000);
     let fairness = FairnessReport::from_trace(net.trace(), n);
     for (node, entries) in fairness.entries_per_node.iter().enumerate() {
         assert!(*entries > 0, "node {node} (requesting {}) never served", (node % 4) + 1);
@@ -76,7 +76,7 @@ fn waiting_time_respects_theorem2_bound_after_stabilization() {
         let mut net = protocol::ss::network(tree, cfg, workloads::all_saturated(1, 3));
         let mut sched = RandomFair::new(23);
         stabilize(&mut net, &mut sched, &cfg);
-        run_for(&mut net, &mut sched, 200_000);
+        engine::run(&mut net, &mut sched, 200_000);
         let records = waiting_times(net.trace());
         assert!(!records.is_empty());
         let worst = records.iter().map(|r| r.cs_entries_waited).max().unwrap();

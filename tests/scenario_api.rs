@@ -4,7 +4,7 @@
 //!   generated specs — the manual JSON decoder in `analysis::scenario` exactly inverts the
 //!   derive-generated serializer.
 //! * **Cross-backend consistency**: a small preset produces the *identical trace* via
-//!   `Scenario::run` and via a hand-wired `protocol::ss::network` + `run_for` execution.
+//!   `Scenario::run` and via a hand-wired `protocol::ss::network` + `engine::run` execution.
 //! * **Acceptance**: one `ScenarioSpec` value — the `figure2` preset — demonstrably drives
 //!   all three backends (simulator, sharded harness, bounded-exhaustive checker), including
 //!   after a round trip through its JSON representation (the `klex` CLI path).
@@ -200,6 +200,59 @@ fn malformed_specs_are_rejected_with_context() {
     assert!(ScenarioSpec::from_json("{}").is_err());
     let err = ScenarioSpec::from_json(r#"{"name":"x"}"#).unwrap_err();
     assert!(err.to_string().contains("topology"), "{err}");
+
+    // Out-of-range request sizes and trial counts are rejected with the field named, not
+    // clamped or silently run.
+    let with = |workload: WorkloadSpec, trials: u64| {
+        ScenarioSpec::builder("bad field")
+            .topology(TopologySpec::Chain { n: 4 })
+            .kl(2, 3)
+            .workload(workload)
+            .trials(trials)
+            .build()
+    };
+    let uniform =
+        |max_units| WorkloadSpec::Uniform { seed: 1, p_request: 0.1, max_units, max_hold: 5 };
+    let leaf =
+        |max_units| WorkloadSpec::LeafUniform { seed: 1, p_request: 0.1, max_units, max_hold: 5 };
+    let cases = [
+        (with(WorkloadSpec::Saturated { units: 3, hold: 1 }, 1), "Saturated.units"),
+        (with(WorkloadSpec::Saturated { units: 0, hold: 1 }, 1), "Saturated.units"),
+        (with(uniform(3), 1), "Uniform.max_units"),
+        (with(uniform(0), 1), "Uniform.max_units"),
+        (with(leaf(3), 1), "LeafUniform.max_units"),
+        (with(leaf(0), 1), "LeafUniform.max_units"),
+        (with(WorkloadSpec::Needs { needs: vec![0, 2, 3], hold: 1 }, 1), "needs[2]"),
+        (with(WorkloadSpec::Saturated { units: 2, hold: 1 }, 0), "trials"),
+    ];
+    for (built, field) in cases {
+        match built {
+            Err(err @ ScenarioError::Invalid(_)) => {
+                assert!(err.to_string().contains(field), "{field}: {err}")
+            }
+            Err(err) => panic!("{field}: wrong error kind: {err}"),
+            Ok(_) => panic!("{field}: out-of-range value was accepted"),
+        }
+    }
+    // The boundaries themselves are valid.
+    assert!(with(WorkloadSpec::Saturated { units: 2, hold: 1 }, 1).is_ok());
+    assert!(with(uniform(1), 1).is_ok());
+    assert!(with(leaf(2), 1).is_ok());
+    assert!(with(WorkloadSpec::Needs { needs: vec![0, 2, 1], hold: 1 }, 1).is_ok());
+}
+
+/// An adversarial victim list whose duplicates cover every node used to send the daemon
+/// looking for a non-victim forever; the run must terminate.
+#[test]
+fn adversarial_duplicate_victims_covering_every_node_terminate() {
+    let outcome = Scenario::builder("duplicate victims")
+        .topology(TopologySpec::Chain { n: 2 })
+        .daemon(DaemonSpec::Adversarial { victims: vec![0, 1, 1], patience: 5 })
+        .stop(StopSpec::Steps { steps: 5_000 })
+        .build()
+        .expect("validates")
+        .run();
+    assert_eq!(outcome.ended_at, 5_000);
 }
 
 #[test]
@@ -246,7 +299,7 @@ fn scenario_run_equals_hand_wired_execution() {
     let cfg = KlConfig::new(2, 3, 3);
     let mut net = protocol::ss::network(tree, cfg, analysis::scenarios::figure3_drivers(6));
     let mut sched = RoundRobin::new();
-    treenet::run_for(&mut net, &mut sched, 20_000);
+    treenet::engine::run(&mut net, &mut sched, 20_000);
 
     assert_eq!(outcome.trace.events(), net.trace().events(), "traces must be identical");
     assert_eq!(outcome.ended_at, net.now());
@@ -256,7 +309,7 @@ fn scenario_run_equals_hand_wired_execution() {
     );
 }
 
-/// The same consistency through the dynamically-dispatched predicate path (run_until).
+/// The same consistency through the predicate path (run_until).
 #[test]
 fn scenario_predicate_run_equals_hand_wired_run_until() {
     let scenario = Scenario::builder("cs-entries cross-check")

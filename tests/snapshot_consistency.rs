@@ -34,7 +34,7 @@ where
     P: Process<Msg = Message> + KlInspect,
 {
     let mut daemon = RoundRobin::new();
-    treenet::run_for(&mut net, &mut daemon, 500);
+    treenet::engine::run(&mut net, &mut daemon, 500);
 
     let initiator = if rotate { InitiatorPolicy::Rotate } else { InitiatorPolicy::Root };
     let mut runner = SnapshotRunner::new(SnapshotPlan { interval, initiator });
