@@ -6,7 +6,7 @@
 //! a first-class value:
 //!
 //! ```text
-//!  ScenarioSpec ── serde JSON ⇄ ScenarioSpec::from_json / to_json
+//!  ScenarioSpec ── derived serde JSON codec: to_json ⇄ from_json (unknown keys rejected)
 //!       │ compile() (validates)
 //!       ▼
 //!  CompiledScenario
@@ -41,7 +41,6 @@
 
 mod check;
 mod compile;
-mod json;
 pub mod mutate;
 mod presets;
 mod schedule;
@@ -51,7 +50,6 @@ pub use compile::{
     deepest_node, CompiledScenario, Daemon, EpochOutcome, HarnessReport, Scenario, ScenarioNode,
     ScenarioOutcome,
 };
-pub use json::schedule_from_value;
 pub use mutate::{mutate_spec, random_spec, GenLimits};
 pub use presets::{
     figure2_deadlock_init, preset, FIGURE2_NEEDS, FIGURE3_NEEDS, PRESET_NAMES,

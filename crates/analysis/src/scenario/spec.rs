@@ -549,6 +549,21 @@ pub struct FaultScheduleSpec {
     pub window: Option<u64>,
 }
 
+impl FaultScheduleSpec {
+    /// Parses a schedule document — the format of the CLI's `--fault-schedule` file and of
+    /// a spec's `fault_schedule` field.
+    pub fn from_json(input: &str) -> Result<Self, ScenarioError> {
+        decode_json(input)
+    }
+}
+
+/// Parses `input` and decodes it with the derived decoder of `T`.
+fn decode_json<T: Deserialize>(input: &str) -> Result<T, ScenarioError> {
+    let value = serde_json::from_str(input)
+        .map_err(|e| ScenarioError::Json(format!("unparsable JSON: {e}")))?;
+    T::deserialize(&value).map_err(|e| ScenarioError::Json(e.to_string()))
+}
+
 /// Which node initiates each snapshot — the serializable mirror of
 /// [`treenet::InitiatorPolicy`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -655,13 +670,15 @@ pub struct CheckSpec {
     /// Explore from a *stabilized* configuration instead of the clean initial one: the
     /// lowered network first runs a deterministic fair schedule until sustained legitimacy
     /// (the closure half of Definition 1).  Only meaningful for the `ss` rung, and
-    /// incompatible with init overrides.
+    /// incompatible with init overrides.  Optional in JSON (pre-liveness spec documents).
+    #[serde(default)]
     pub from_legitimate: bool,
     /// Worker threads for the exploration: `0` (the default) auto-sizes to one worker per
     /// available core, `1` forces the sequential delta engine, `N > 1` runs the
     /// work-stealing parallel engine with `N` workers.  The report is identical at every
     /// setting (the engine parity contract); the knob only trades wall-clock for cores.
     /// Decoded as optional (defaulting to `0`) for pre-parallel spec documents.
+    #[serde(default)]
     pub threads: usize,
 }
 
@@ -757,10 +774,12 @@ pub struct ScenarioSpec {
     /// Stop condition of the measured phase.
     pub stop: StopSpec,
     /// Metric selection (empty = [`DEFAULT_METRICS`]).
+    #[serde(default)]
     pub metrics: Vec<String>,
     /// Temporal monitors evaluated on simulator runs ([`crate::monitor::MONITOR_NAMES`]):
     /// the paper property (or properties) this scenario certifies, as data.  Empty = no
-    /// monitoring.
+    /// monitoring.  Optional in JSON (pre-monitor spec documents).
+    #[serde(default)]
     pub properties: Vec<String>,
     /// Number of trials in harness runs.
     pub trials: u64,
@@ -782,11 +801,15 @@ impl ScenarioSpec {
     }
 
     /// Parses a spec from its JSON representation (the format [`ScenarioSpec::to_json`]
-    /// emits: externally tagged enums, structs as objects).
+    /// emits: externally tagged enums, structs as objects).  Unknown keys are rejected, and
+    /// every error names the path to the bad field.
     pub fn from_json(input: &str) -> Result<Self, ScenarioError> {
-        let value = serde_json::from_str(input)
-            .map_err(|e| ScenarioError::Json(format!("unparsable spec: {e}")))?;
-        super::json::spec_from_value(&value)
+        decode_json(input)
+    }
+
+    /// Decodes a spec from an already parsed JSON document.
+    pub fn from_value(value: &serde_json::Value) -> Result<Self, ScenarioError> {
+        Self::deserialize(value).map_err(|e| ScenarioError::Json(e.to_string()))
     }
 
     /// True when the fault schedule contains a topology-churn epoch (the network's shape

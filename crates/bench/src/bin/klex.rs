@@ -26,12 +26,14 @@
 
 use analysis::harness::{render_csv, render_jsonl, render_markdown_table};
 use analysis::scenario::{
-    preset, schedule_from_value, CompiledScenario, InitiatorSpec, ScenarioSpec, SnapshotSpec,
+    preset, CompiledScenario, FaultScheduleSpec, InitiatorSpec, ScenarioSpec, SnapshotSpec,
     PRESET_NAMES,
 };
 use bench::runner::{run_rows, Backend, RunRequest};
 use bench::serve::{self, ServeOptions};
-use bench::{experiments, history, ExperimentReport, Scale};
+use bench::{experiments, ExperimentReport, Scale};
+use serde_json::Value;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 const EXPERIMENTS: [&str; 15] = [
@@ -181,9 +183,8 @@ fn load_scenario(
     if let Some(path) = schedule_path {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("unreadable fault schedule `{path}`: {e}"))?;
-        let value = serde_json::from_str(&text)
-            .map_err(|e| format!("unparsable fault schedule `{path}`: {e}"))?;
-        let schedule = schedule_from_value(&value).map_err(|e| e.to_string())?;
+        let schedule = FaultScheduleSpec::from_json(&text)
+            .map_err(|e| format!("fault schedule `{path}`: {e}"))?;
         spec.fault_schedule = Some(schedule);
     }
     if let Some(interval) = snapshots {
@@ -523,54 +524,44 @@ fn submit_command(args: &[String]) -> ExitCode {
     let mut source: Option<String> = None;
     let mut fuzz = false;
     // Run-job fields sit at the body's top level; fuzz knobs nest under `"fuzz": {...}`.
-    let mut run_fields: Vec<String> = Vec::new();
-    let mut fuzz_fields: Vec<String> = Vec::new();
+    let mut run_fields = BTreeMap::new();
+    let mut fuzz_fields = BTreeMap::new();
     let mut iter = rest.iter();
     while let Some(arg) = iter.next() {
         let mut value = |flag: &str| {
             iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
         };
-        let result = match arg.as_str() {
+        let mut int = |flag: &str| {
+            value(flag)?.parse::<u64>().map(|v| Value::Integer(v.into())).map_err(|e| e.to_string())
+        };
+        let (fields, key, parsed) = match arg.as_str() {
             "--fuzz" => {
                 fuzz = true;
-                Ok(())
+                continue;
             }
-            "--backend" => {
-                value("--backend").map(|v| run_fields.push(format!("\"backend\": {v:?}")))
-            }
-            "--shards" => value("--shards").and_then(|v| {
-                v.parse::<usize>()
-                    .map(|v| run_fields.push(format!("\"shards\": {v}")))
-                    .map_err(|e| e.to_string())
-            }),
-            "--threads" => value("--threads").and_then(|v| {
-                v.parse::<usize>()
-                    .map(|v| run_fields.push(format!("\"threads\": {v}")))
-                    .map_err(|e| e.to_string())
-            }),
-            "--bench" => {
-                run_fields.push("\"bench\": true".to_string());
-                Ok(())
-            }
-            "--seed" => value("--seed").and_then(|v| {
-                v.parse::<u64>()
-                    .map(|v| fuzz_fields.push(format!("\"seed\": {v}")))
-                    .map_err(|e| e.to_string())
-            }),
-            "--scenarios" => value("--scenarios").and_then(|v| {
-                v.parse::<u64>()
-                    .map(|v| fuzz_fields.push(format!("\"scenarios\": {v}")))
-                    .map_err(|e| e.to_string())
-            }),
+            "--backend" => (&mut run_fields, "backend", value("--backend").map(Value::String)),
+            "--shards" => (&mut run_fields, "shards", int("--shards")),
+            "--threads" => (&mut run_fields, "threads", int("--threads")),
+            "--bench" => (&mut run_fields, "bench", Ok(Value::Bool(true))),
+            "--seed" => (&mut fuzz_fields, "seed", int("--seed")),
+            "--scenarios" => (&mut fuzz_fields, "scenarios", int("--scenarios")),
             other if !other.starts_with('-') && source.is_none() => {
                 source = Some(other.to_string());
-                Ok(())
+                continue;
             }
-            other => Err(format!("unknown option `{other}`")),
+            other => {
+                eprintln!("unknown option `{other}`");
+                return ExitCode::FAILURE;
+            }
         };
-        if let Err(message) = result {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
+        match parsed {
+            Ok(parsed) => {
+                fields.insert(key.to_string(), parsed);
+            }
+            Err(message) => {
+                eprintln!("{message}");
+                return ExitCode::FAILURE;
+            }
         }
     }
     // Build the POST /jobs body.  Presets travel by name; spec files travel inline as the
@@ -580,7 +571,7 @@ fn submit_command(args: &[String]) -> ExitCode {
             eprintln!("--fuzz takes only --seed/--scenarios (and --addr)");
             return ExitCode::FAILURE;
         }
-        format!("{{\"fuzz\": {{{}}}}}", fuzz_fields.join(", "))
+        BTreeMap::from([("fuzz".to_string(), Value::Object(fuzz_fields))])
     } else {
         if !fuzz_fields.is_empty() {
             eprintln!("--seed/--scenarios need --fuzz");
@@ -590,27 +581,28 @@ fn submit_command(args: &[String]) -> ExitCode {
             eprintln!("{}", usage());
             return ExitCode::FAILURE;
         };
-        let first = if preset(&source).is_some() {
-            format!("\"preset\": {source:?}")
+        let (kind, job) = if preset(&source).is_some() {
+            ("preset", Value::String(source))
         } else {
-            match std::fs::read_to_string(&source) {
-                Ok(text) => format!("\"spec\": {}", text.trim_end()),
-                Err(e) => {
-                    eprintln!(
-                        "`{source}` is neither a preset (try `klex list`) nor a readable file: {e}"
-                    );
+            let spec = std::fs::read_to_string(&source)
+                .map_err(|e| {
+                    format!("`{source}` is neither a preset (try `klex list`) nor a file: {e}")
+                })
+                .and_then(|text| {
+                    serde_json::from_str(&text).map_err(|e| format!("bad spec `{source}`: {e}"))
+                });
+            match spec {
+                Ok(spec) => ("spec", spec),
+                Err(message) => {
+                    eprintln!("{message}");
                     return ExitCode::FAILURE;
                 }
             }
         };
-        let mut body = format!("{{{first}");
-        for field in &run_fields {
-            body.push_str(", ");
-            body.push_str(field);
-        }
-        body.push('}');
-        body
+        run_fields.insert(kind.to_string(), job);
+        run_fields
     };
+    let body = serde_json::to_string(&Value::Object(body)).expect("values render");
     match serve::client::submit(&addr, &body) {
         Ok(id) => {
             println!("{id}");
@@ -644,7 +636,7 @@ fn status_command(args: &[String]) -> ExitCode {
     };
     match fetched {
         Ok(doc) => {
-            println!("{}", history::render(&doc));
+            println!("{}", serde_json::to_string_pretty(&doc).expect("values render"));
             ExitCode::SUCCESS
         }
         Err(message) => {

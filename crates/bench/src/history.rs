@@ -14,8 +14,9 @@
 //! (never below 1.0), so a slow erosion across runs trips the gate even when each
 //! individual step stays above 1.0.
 //!
-//! The workspace's `serde_json` shim has no [`Value`] serializer, so [`render`] is the
-//! writer: stable 2-space-indented JSON with objects in key order.
+//! Documents are written with `serde_json::to_string_pretty` (stable 2-space-indented JSON,
+//! objects in key order), so loading and saving a history without a new entry reproduces
+//! the file byte for byte.
 
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -152,7 +153,7 @@ impl History {
         doc.insert("bench".to_string(), Value::String(self.bench.clone()));
         doc.insert("entries".to_string(), Value::Array(self.entries.clone()));
         doc.insert("trend".to_string(), self.trend(trend_keys));
-        let mut text = render(&Value::Object(doc));
+        let mut text = serde_json::to_string_pretty(&Value::Object(doc)).expect("values render");
         text.push('\n');
         std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
     }
@@ -195,92 +196,6 @@ fn utc_date(unix_secs: u64) -> String {
     let month = if mp < 10 { mp + 3 } else { mp - 9 };
     let year = if month <= 2 { year + 1 } else { year };
     format!("{year:04}-{month:02}-{day:02}")
-}
-
-/// Renders a [`Value`] as stable, 2-space-indented JSON (objects in key order).  The
-/// inverse of the shim's `serde_json::from_str` up to insignificant whitespace and
-/// integer-vs-float representation of whole numbers.
-pub fn render(value: &Value) -> String {
-    let mut out = String::new();
-    render_into(value, 0, &mut out);
-    out
-}
-
-fn render_into(value: &Value, indent: usize, out: &mut String) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Integer(i) => out.push_str(&i.to_string()),
-        Value::Number(n) => {
-            if n.is_finite() {
-                out.push_str(&format!("{n}"));
-            } else {
-                // JSON has no NaN/Infinity literal; histories treat them as absent data.
-                out.push_str("null");
-            }
-        }
-        Value::String(s) => render_string(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                out.push('\n');
-                push_indent(indent + 1, out);
-                render_into(item, indent + 1, out);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-            }
-            out.push('\n');
-            push_indent(indent, out);
-            out.push(']');
-        }
-        Value::Object(map) => {
-            if map.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, item)) in map.iter().enumerate() {
-                out.push('\n');
-                push_indent(indent + 1, out);
-                render_string(key, out);
-                out.push_str(": ");
-                render_into(item, indent + 1, out);
-                if i + 1 < map.len() {
-                    out.push(',');
-                }
-            }
-            out.push('\n');
-            push_indent(indent, out);
-            out.push('}');
-        }
-    }
-}
-
-fn push_indent(indent: usize, out: &mut String) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A small builder for entry objects (the shim has no `json!` macro).
@@ -449,15 +364,23 @@ mod tests {
     }
 
     #[test]
-    fn renderer_output_reparses() {
-        let value = Entry::new()
-            .str("name", "a \"quoted\"\nlabel")
-            .int("big", (1i128 << 63) + 1)
-            .num("rate", 2.5)
-            .val("list", Value::Array(vec![Value::Null, Value::Bool(true)]))
-            .val("empty", Value::Object(BTreeMap::new()))
-            .build();
-        let reparsed = serde_json::from_str(&render(&value)).unwrap();
-        assert_eq!(reparsed, value);
+    fn committed_histories_save_back_byte_identical() {
+        let dir = std::env::temp_dir().join(format!("klex-history-same-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for (file, bench) in [
+            ("BENCH_explorer.json", "exhaustive_checker"),
+            ("BENCH_treenet.json", "treenet_engine"),
+        ] {
+            let original = std::fs::read_to_string(root.join(file)).unwrap();
+            let doc = serde_json::from_str(&original).unwrap();
+            let Value::Object(trend) = &doc["trend"] else { panic!("{file} has no trend block") };
+            let keys: Vec<&str> = trend.keys().map(String::as_str).collect();
+            let history = History::load(&root.join(file), bench).unwrap();
+            history.save(&dir.join(file), &keys).unwrap();
+            let saved = std::fs::read_to_string(dir.join(file)).unwrap();
+            assert!(saved == original, "{file} changed on a load/save round trip");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -4,7 +4,7 @@ use super::http::{self, ChunkedResponse, Request};
 use super::jobs::JobSnapshot;
 use super::metrics::{render, Sample};
 use super::Shared;
-use crate::history::{render as render_json, Entry};
+use crate::history::Entry;
 use serde_json::Value;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -34,7 +34,8 @@ fn route(stream: &mut TcpStream, request: &Request, shared: &Arc<Shared>) -> std
         ("GET", "/metrics") => metrics(stream, shared),
         ("POST", "/shutdown") => {
             shared.request_shutdown();
-            http::respond(stream, 200, "application/json", "{\"status\": \"shutting down\"}\n")
+            let body = Entry::new().str("status", "shutting down").build();
+            http::respond(stream, 200, "application/json", &json_body(&body))
         }
         (method, path) if path.starts_with("/jobs/") => job_route(stream, method, path, shared),
         (_, path) => http::respond(
@@ -70,17 +71,16 @@ fn job_route(
         ("GET", true) => stream_job(stream, id, shared),
         ("GET", false) => match shared.jobs.snapshot(id) {
             Some(snapshot) => {
-                http::respond(stream, 200, "application/json", &job_body(&snapshot, true))
+                let body = json_body(&job_value(&snapshot, true));
+                http::respond(stream, 200, "application/json", &body)
             }
             None => job_not_found(stream, id),
         },
         ("DELETE", false) => match shared.jobs.cancel(id) {
-            Some(state) => http::respond(
-                stream,
-                200,
-                "application/json",
-                &format!("{{\"id\": {id}, \"state\": \"{}\"}}\n", state.label()),
-            ),
+            Some(state) => {
+                let body = Entry::new().int("id", id as i128).str("state", state.label()).build();
+                http::respond(stream, 200, "application/json", &json_body(&body))
+            }
             None => job_not_found(stream, id),
         },
         _ => http::respond(stream, 405, "application/json", &error_body("method not allowed")),
@@ -106,7 +106,7 @@ fn healthz(stream: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> 
         .int("workers", shared.workers_total as i128)
         .val("jobs", jobs)
         .build();
-    http::respond(stream, 200, "application/json", &(render_json(&body) + "\n"))
+    http::respond(stream, 200, "application/json", &json_body(&body))
 }
 
 fn job_value(snapshot: &JobSnapshot, with_result: bool) -> Value {
@@ -127,25 +127,19 @@ fn job_value(snapshot: &JobSnapshot, with_result: bool) -> Value {
     entry.build()
 }
 
-fn job_body(snapshot: &JobSnapshot, with_result: bool) -> String {
-    render_json(&job_value(snapshot, with_result)) + "\n"
-}
-
 fn list_jobs(stream: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
     let jobs: Vec<Value> =
         shared.jobs.list().iter().map(|snapshot| job_value(snapshot, false)).collect();
     let body = Entry::new().val("jobs", Value::Array(jobs)).build();
-    http::respond(stream, 200, "application/json", &(render_json(&body) + "\n"))
+    http::respond(stream, 200, "application/json", &json_body(&body))
 }
 
 fn submit(stream: &mut TcpStream, request: &Request, shared: &Arc<Shared>) -> std::io::Result<()> {
     match super::submit_body(shared, &request.body_str()) {
-        Ok(id) => http::respond(
-            stream,
-            201,
-            "application/json",
-            &format!("{{\"id\": {id}, \"state\": \"queued\"}}\n"),
-        ),
+        Ok(id) => {
+            let body = Entry::new().int("id", id as i128).str("state", "queued").build();
+            http::respond(stream, 201, "application/json", &json_body(&body))
+        }
         Err(message) if message == "queue full" || message == "shutting down" => {
             http::respond(stream, 503, "application/json", &error_body(&message))
         }
@@ -218,5 +212,10 @@ fn stream_job(stream: &mut TcpStream, id: u64, shared: &Arc<Shared>) -> std::io:
 }
 
 fn error_body(message: &str) -> String {
-    render_json(&Entry::new().str("error", message).build()) + "\n"
+    json_body(&Entry::new().str("error", message).build())
+}
+
+/// A response body: the value as indented JSON plus a trailing newline.
+fn json_body(value: &Value) -> String {
+    serde_json::to_string_pretty(value).expect("values render") + "\n"
 }

@@ -8,6 +8,7 @@
 //! daemon's whole lifetime.
 
 use crate::fuzz::FuzzOptions;
+use crate::history::Entry;
 use crate::runner::RunRequest;
 use analysis::scenario::ScenarioSpec;
 use std::collections::{BTreeMap, VecDeque};
@@ -163,15 +164,15 @@ impl JobTable {
         self.state.lock().expect("unpoisoned job table")
     }
 
-    /// Appends `line` to a job's event log, stamped with this daemon's boot id and the
-    /// line's position as a per-job sequence number.  Watchers dedup replayed lines on
-    /// the `(boot, seq)` key, so a reconnect — even one that lands on a different daemon
-    /// incarnation reusing the same job id — delivers each event exactly once.
-    fn append_event(&self, job: &mut Job, mut line: String) {
-        debug_assert!(line.ends_with('}'), "event lines are single JSON objects");
-        line.pop();
-        line.push_str(&format!(",\"boot\":{},\"seq\":{}}}", self.boot, job.events.len()));
-        job.events.push(line);
+    /// Appends `event` to a job's event log as one JSON line, stamped with this daemon's
+    /// boot id and the line's position as a per-job sequence number.  Watchers dedup
+    /// replayed lines on the `(boot, seq)` key, so a reconnect — even one that lands on a
+    /// different daemon incarnation reusing the same job id — delivers each event exactly
+    /// once.
+    fn append_event(&self, job: &mut Job, event: Entry) {
+        let stamped =
+            event.int("boot", self.boot as i128).int("seq", job.events.len() as i128).build();
+        job.events.push(serde_json::to_string(&stamped).expect("values render"));
     }
 
     /// Enqueues a job, returning its id and cancel flag.
@@ -220,8 +221,7 @@ impl JobTable {
                     continue;
                 }
                 job.state = JobState::Running;
-                let line = event_line("state", &[("state", EventValue::Str("running"))]);
-                self.append_event(job, line);
+                self.append_event(job, event("state").str("state", "running"));
                 let claimed = (id, job.kind.clone(), Arc::clone(&job.cancel));
                 drop(state);
                 self.watchers.notify_all();
@@ -232,13 +232,13 @@ impl JobTable {
     }
 
     /// Appends one JSONL progress event to a job and wakes its watchers.
-    pub fn push_event(&self, id: u64, line: String) {
+    pub fn push_event(&self, id: u64, event: Entry) {
         let mut state = self.lock();
         if let Some(job) = state.jobs.get_mut(&id) {
             // Bound the per-job replay buffer; the stride-based throttling in the sink
             // keeps normal jobs far below this.
             if job.events.len() < 100_000 {
-                self.append_event(job, line);
+                self.append_event(job, event);
             }
         }
         drop(state);
@@ -264,8 +264,7 @@ impl JobTable {
                 }
             }
             let label = job.state.label();
-            let line = event_line("state", &[("state", EventValue::Str(label))]);
-            self.append_event(job, line);
+            self.append_event(job, event("state").str("state", label));
         }
         drop(state);
         self.watchers.notify_all();
@@ -280,8 +279,7 @@ impl JobTable {
         job.cancel.store(true, Ordering::Relaxed);
         if job.state == JobState::Queued {
             job.state = JobState::Cancelled;
-            let line = event_line("state", &[("state", EventValue::Str("cancelled"))]);
-            self.append_event(job, line);
+            self.append_event(job, event("state").str("state", "cancelled"));
         }
         let after = job.state;
         // A cancelled queued job must stop occupying queue capacity.
@@ -374,8 +372,7 @@ impl JobTable {
             job.cancel.store(true, Ordering::Relaxed);
             if job.state == JobState::Queued {
                 job.state = JobState::Cancelled;
-                let line = event_line("state", &[("state", EventValue::Str("cancelled"))]);
-                self.append_event(job, line);
+                self.append_event(job, event("state").str("state", "cancelled"));
             }
         }
         drop(state);
@@ -385,28 +382,10 @@ impl JobTable {
 
 }
 
-/// A value in a progress event line.
-pub enum EventValue<'a> {
-    /// A JSON string (escaped minimally; event strings are ASCII identifiers).
-    Str(&'a str),
-    /// A JSON integer.
-    Int(u64),
-}
-
-/// Renders one single-line JSONL event: `{"event": "<kind>", <fields>...}`.
-pub fn event_line(kind: &str, fields: &[(&str, EventValue<'_>)]) -> String {
-    let mut out = format!("{{\"event\":\"{kind}\"");
-    for (key, value) in fields {
-        match value {
-            EventValue::Str(s) => {
-                let escaped = s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n");
-                out.push_str(&format!(",\"{key}\":\"{escaped}\""));
-            }
-            EventValue::Int(i) => out.push_str(&format!(",\"{key}\":{i}")),
-        }
-    }
-    out.push('}');
-    out
+/// A progress event `{"event": kind}`, for the caller to add fields to; the job table
+/// stamps it with the daemon's boot id and the event's sequence number.
+pub fn event(kind: &str) -> Entry {
+    Entry::new().str("event", kind)
 }
 
 #[cfg(test)]
@@ -488,24 +467,27 @@ mod tests {
         let table = JobTable::new(4);
         let (id, _) = table.submit("a".into(), run_kind()).unwrap();
         table.claim_next().unwrap();
-        table.push_event(id, "{\"event\":\"progress\"}".into());
+        table.push_event(id, event("progress"));
         let (events, state) = table.wait_events(id, 0, Duration::from_millis(10)).unwrap();
         assert_eq!(events.len(), 2, "state(running) + progress");
         assert_eq!(state, JobState::Running);
         table.finish(id, Err("boom".into()));
         let (more, state) = table.wait_events(id, 2, Duration::from_millis(10)).unwrap();
         assert_eq!(more.len(), 1);
-        assert!(more[0].starts_with("{\"event\":\"state\",\"state\":\"failed\""));
+        let line = serde_json::from_str(&more[0]).unwrap();
+        assert_eq!(line["event"], "state");
+        assert_eq!(line["state"], "failed");
         assert_eq!(state, JobState::Failed);
         assert!(table.wait_events(99, 0, Duration::from_millis(1)).is_none());
 
         // Every line carries the daemon's boot id and its index as a sequence number —
         // the key `serve::client::watch` dedups replayed lines on.
         let (all, _) = table.wait_events(id, 0, Duration::ZERO).unwrap();
-        let boot = format!(",\"boot\":{},", table.boot);
         for (seq, line) in all.iter().enumerate() {
-            assert!(line.contains(&boot), "missing boot id: {line}");
-            assert!(line.ends_with(&format!(",\"seq\":{seq}}}")), "bad seq: {line}");
+            let doc = serde_json::from_str(line).unwrap();
+            assert_eq!(doc["boot"], table.boot, "missing boot id: {line}");
+            assert_eq!(doc["seq"], seq, "bad seq: {line}");
+            assert!(!line.contains('\n'), "one event per line: {line}");
         }
     }
 }

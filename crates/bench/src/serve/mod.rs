@@ -36,11 +36,12 @@ mod metrics;
 pub use jobs::{JobKind, JobSnapshot, JobState, SubmitError};
 
 use crate::fuzz::{self, FuzzOptions};
+use crate::history::Entry;
 use crate::runner::{self, Backend, RunRequest};
 use analysis::harness::{auto_workers, render_jsonl, trial_seed};
 use analysis::scenario::{preset, ScenarioSpec};
 use analysis::{Counter, MetricsRegistry, ProgressSink};
-use jobs::{event_line, EventValue, JobTable};
+use jobs::{event, JobTable};
 use serde_json::Value;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -209,7 +210,7 @@ fn execute_run(
     let scenario = spec.clone().compile().map_err(|e| e.to_string())?;
     let product = runner::run_rows(&scenario, request, Some(sink))?;
     for note in product.notes.iter().chain(&product.warnings) {
-        shared.jobs.push_event(id, event_line("note", &[("text", EventValue::Str(note))]));
+        shared.jobs.push_event(id, event("note").str("text", note));
     }
     Ok(render_jsonl(&product.rows))
 }
@@ -227,21 +228,19 @@ fn execute_fuzz(opts: &FuzzOptions, sink: &JobSink<'_>) -> Result<String, String
             first.detail
         ));
     }
-    Ok(format!(
-        "{{\"scenarios\":{},\"exhaustive\":{},\"liveness_violations\":{},\
-         \"safety_violations\":{},\"differential_oracle_runs\":{},\
-         \"distinct_signatures\":{},\"novel_signatures\":{},\"corpus_size\":{},\
-         \"disagreements\":0,\"seed\":{}}}",
-        summary.scenarios,
-        summary.exhaustive,
-        summary.liveness_violations,
-        summary.safety_violations,
-        summary.differential_oracle_runs,
-        summary.distinct_signatures,
-        summary.novel_signatures,
-        summary.corpus_size,
-        opts.seed,
-    ))
+    let line = Entry::new()
+        .int("scenarios", summary.scenarios as i128)
+        .int("exhaustive", summary.exhaustive as i128)
+        .int("liveness_violations", summary.liveness_violations as i128)
+        .int("safety_violations", summary.safety_violations as i128)
+        .int("differential_oracle_runs", summary.differential_oracle_runs as i128)
+        .int("distinct_signatures", summary.distinct_signatures as i128)
+        .int("novel_signatures", summary.novel_signatures as i128)
+        .int("corpus_size", summary.corpus_size as i128)
+        .int("disagreements", 0)
+        .int("seed", opts.seed as i128)
+        .build();
+    Ok(serde_json::to_string(&line).expect("values render"))
 }
 
 /// Per-phase progress stride before another event line is pushed (the checker already
@@ -308,17 +307,11 @@ impl ProgressSink for JobSink<'_> {
             _ => {}
         }
         if evented {
-            self.shared.jobs.push_event(
-                self.id,
-                event_line(
-                    "progress",
-                    &[
-                        ("phase", EventValue::Str(phase)),
-                        ("done", EventValue::Int(done)),
-                        ("total", EventValue::Int(total)),
-                    ],
-                ),
-            );
+            let progress = event("progress")
+                .str("phase", phase)
+                .int("done", done as i128)
+                .int("total", total as i128);
+            self.shared.jobs.push_event(self.id, progress);
         }
     }
 
@@ -363,9 +356,7 @@ fn parse_job(body: &str, default_seed: u64) -> Result<(String, JobKind), String>
     let spec = if let Some(name) = doc.get("preset").and_then(Value::as_str) {
         preset(name).ok_or_else(|| format!("unknown preset `{name}` (try `klex list`)"))?
     } else if let Some(spec_value) = doc.get("spec") {
-        // The shim parses to a dynamic `Value`; re-render the subtree and hand it to the
-        // spec's own (validating) parser.
-        ScenarioSpec::from_json(&crate::history::render(spec_value)).map_err(|e| e.to_string())?
+        ScenarioSpec::from_value(spec_value).map_err(|e| e.to_string())?
     } else {
         return Err("job needs `preset`, `spec` or `fuzz`".to_string());
     };

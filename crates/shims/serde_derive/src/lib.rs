@@ -3,17 +3,24 @@
 //! The offline build environment has neither `syn` nor `quote`, so the input item is parsed
 //! directly from the `proc_macro` token trees.  Supported shapes cover everything this
 //! workspace derives on: non-generic structs (named, tuple, unit) and non-generic enums with
-//! unit, tuple, and struct variants.  Output follows serde's JSON data model (externally
-//! tagged enums).
+//! unit, tuple, and struct variants.  Both derives follow serde's JSON data model
+//! (externally tagged enums); the only attribute understood is the field-level
+//! `#[serde(default)]`, which makes an absent field decode to `Default::default()`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
+
+/// A named field and whether it carries `#[serde(default)]`.
+struct Field {
+    name: String,
+    default: bool,
+}
 
 /// One parsed field-or-variant description.
 enum Shape {
     /// `struct S;`
     UnitStruct,
-    /// `struct S { a: T, b: U }` — field names in order.
-    NamedStruct(Vec<String>),
+    /// `struct S { a: T, b: U }` — fields in order.
+    NamedStruct(Vec<Field>),
     /// `struct S(T, U);` — number of fields.
     TupleStruct(usize),
     /// `enum E { ... }` — variants as (name, fields).
@@ -22,19 +29,19 @@ enum Shape {
 
 enum VariantFields {
     Unit,
-    Named(Vec<String>),
+    Named(Vec<Field>),
     Tuple(usize),
 }
 
 /// Derives the shim's `serde::Serialize` (JSON writer) for the item.
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let (name, shape) = parse_item(input);
     let body = match shape {
         Shape::UnitStruct => "out.push_str(\"null\");".to_string(),
         Shape::NamedStruct(fields) => {
             let mut code = String::from("out.push('{');\n");
-            for (i, f) in fields.iter().enumerate() {
+            for (i, Field { name: f, .. }) in fields.iter().enumerate() {
                 if i > 0 {
                     code.push_str("out.push(',');\n");
                 }
@@ -92,6 +99,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         arms.push_str(&inner);
                     }
                     VariantFields::Named(fs) => {
+                        let fs: Vec<&str> = fs.iter().map(|f| f.name.as_str()).collect();
                         let mut inner = format!(
                             "{name}::{v} {{ {} }} => {{ out.push_str(\"{{\\\"{v}\\\":{{\");\n",
                             fs.join(", ")
@@ -119,13 +127,81 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     code.parse().expect("generated Serialize impl must parse")
 }
 
-/// Derives the shim's marker `serde::Deserialize` for the item.
-#[proc_macro_derive(Deserialize)]
+/// Derives the shim's `serde::Deserialize` (decoder from `serde::Value`) for the item.
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let (name, _) = parse_item(input);
-    format!("impl serde::Deserialize for {name} {{}}")
-        .parse()
-        .expect("generated Deserialize impl must parse")
+    let (name, shape) = parse_item(input);
+    let body = match shape {
+        Shape::UnitStruct => format!("serde::__private::unit(value).map(|()| {name})"),
+        Shape::NamedStruct(fields) => decode_named(&name, &fields, "value"),
+        Shape::TupleStruct(n) => decode_tuple(&name, n, "value"),
+        Shape::Enum(variants) => {
+            let mut arms = String::new();
+            for (v, fields) in &variants {
+                let path = format!("{name}::{v}");
+                let arm = match fields {
+                    VariantFields::Unit => format!("serde::__private::unit(body).map(|()| {path})"),
+                    VariantFields::Named(fields) => decode_named(&path, fields, "body"),
+                    VariantFields::Tuple(n) => decode_tuple(&path, *n, "body"),
+                };
+                arms.push_str(&format!("{v:?} => {arm},\n"));
+            }
+            let tags: Vec<String> = variants.iter().map(|(v, _)| format!("{v:?}")).collect();
+            format!(
+                "let (tag, body) = serde::__private::variant(value)?;\n\
+                 let decoded = match tag {{\n{arms}\
+                 other => return Err(serde::__private::unknown_variant(other, &[{}])),\n}};\n\
+                 decoded.map_err(|e| e.at(tag))",
+                tags.join(", ")
+            )
+        }
+    };
+    let code = format!(
+        "impl serde::Deserialize for {name} {{\n\
+         fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {{\n{body}\n}}\n}}"
+    );
+    code.parse().expect("generated Deserialize impl must parse")
+}
+
+/// A decoder expression for the named-field struct (or variant) `path` from `value`.
+fn decode_named(path: &str, fields: &[Field], value: &str) -> String {
+    let names: Vec<String> = fields.iter().map(|f| format!("{:?}", f.name)).collect();
+    let mut inits = String::new();
+    for Field { name, default } in fields {
+        let helper = if *default { "field_or_default" } else { "field" };
+        inits.push_str(&format!("{name}: serde::__private::{helper}(map, {name:?})?,\n"));
+    }
+    format!(
+        "serde::__private::object({value}, &[{}]).and_then(|map| Ok({path} {{\n{inits}}}))",
+        names.join(", ")
+    )
+}
+
+/// A decoder expression for the `n`-field tuple struct (or variant) `path` from `value`:
+/// a newtype decodes its field directly, wider tuples from an array.
+fn decode_tuple(path: &str, n: usize, value: &str) -> String {
+    if n == 1 {
+        return format!("serde::Deserialize::deserialize({value}).map({path})");
+    }
+    let elements: Vec<String> =
+        (0..n).map(|i| format!("serde::__private::element(&items[{i}], {i})?")).collect();
+    format!(
+        "serde::__private::tuple({value}, {n}).and_then(|items| Ok({path}({})))",
+        elements.join(", ")
+    )
+}
+
+/// The argument text of a `#[serde(...)]` attribute (`default` for `#[serde(default)]`);
+/// `None` for any other attribute, doc comments included.
+fn serde_attribute(attr: Option<TokenTree>) -> Option<String> {
+    let Some(TokenTree::Group(group)) = attr else { return None };
+    let mut tokens = group.stream().into_iter();
+    match (tokens.next(), tokens.next()) {
+        (Some(TokenTree::Ident(id)), Some(TokenTree::Group(args))) if id.to_string() == "serde" => {
+            Some(args.stream().to_string())
+        }
+        _ => None,
+    }
 }
 
 /// Parses a struct or enum item down to the pieces the derives need.
@@ -135,7 +211,9 @@ fn parse_item(input: TokenStream) -> (String, Shape) {
     let kind = loop {
         match trees.next() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                let _bracket = trees.next();
+                if let Some(args) = serde_attribute(trees.next()) {
+                    panic!("serde_derive shim: unsupported container attribute #[serde({args})]");
+                }
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
                 if let Some(TokenTree::Group(g)) = trees.peek() {
@@ -186,17 +264,25 @@ fn parse_item(input: TokenStream) -> (String, Shape) {
     }
 }
 
-/// Extracts field names from a named-field body, skipping attributes, visibility, and types.
-fn parse_named_fields(body: TokenStream) -> Vec<String> {
+/// Extracts the fields of a named-field body, skipping visibility and types and reading
+/// `#[serde(default)]` among the attributes.
+fn parse_named_fields(body: TokenStream) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut trees = body.into_iter().peekable();
     loop {
         // Skip attributes and visibility before the field name.
-        let field = loop {
+        let mut default = false;
+        let name = loop {
             match trees.next() {
                 None => return fields,
                 Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                    let _bracket = trees.next();
+                    match serde_attribute(trees.next()).as_deref() {
+                        Some("default") => default = true,
+                        Some(args) => {
+                            panic!("serde_derive shim: unsupported attribute #[serde({args})]")
+                        }
+                        None => {}
+                    }
                 }
                 Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
                     if let Some(TokenTree::Group(g)) = trees.peek() {
@@ -209,7 +295,7 @@ fn parse_named_fields(body: TokenStream) -> Vec<String> {
                 Some(other) => panic!("serde_derive shim: unexpected field token {other:?}"),
             }
         };
-        fields.push(field);
+        fields.push(Field { name, default });
         match trees.next() {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
             other => panic!("serde_derive shim: expected `:` after field name, got {other:?}"),
@@ -271,7 +357,9 @@ fn parse_variants(body: TokenStream) -> Vec<(String, VariantFields)> {
             match trees.next() {
                 None => return variants,
                 Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                    let _bracket = trees.next();
+                    if let Some(args) = serde_attribute(trees.next()) {
+                        panic!("serde_derive shim: unsupported variant attribute #[serde({args})]");
+                    }
                 }
                 Some(TokenTree::Ident(id)) => break id.to_string(),
                 Some(other) => panic!("serde_derive shim: unexpected variant token {other:?}"),

@@ -1,25 +1,20 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! Provides the two entry points the workspace uses: [`to_string`] (serialization through the
-//! shim's `serde::Serialize`) and [`from_str`] into a dynamically typed [`Value`] (no typed
-//! deserialization exists anywhere in the workspace).
+//! Provides the entry points the workspace uses: [`to_string`] and [`to_string_pretty`]
+//! (writing through the shim's `serde::Serialize`), and [`from_str`], which parses a
+//! document into a dynamically typed [`Value`].  Typed decoding goes through
+//! `serde::Deserialize` from that `Value`; [`Value`] and [`Error`] are the `serde` shim's,
+//! re-exported here as upstream's are.
 
 #![forbid(unsafe_code)]
 
+pub use serde::{Error, Value};
+
 use std::collections::BTreeMap;
-use std::fmt;
 
-/// A serialization/parsing error.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Error(String);
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json error: {}", self.0)
-    }
-}
-
-impl std::error::Error for Error {}
+/// Containers nested deeper than this are rejected, so a hostile document cannot overflow
+/// the parser's stack (upstream serde_json's recursion limit).
+const MAX_DEPTH: usize = 128;
 
 /// Serializes `value` as a JSON string.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
@@ -28,154 +23,25 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
-/// A dynamically typed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    /// JSON `null`.
-    Null,
-    /// A boolean.
-    Bool(bool),
-    /// A non-integer (or out-of-range) number, stored as `f64`.
-    Number(f64),
-    /// An integer literal, stored exactly (`i128` covers the full `u64` and `i64` ranges, so
-    /// 64-bit seeds round-trip without the 2⁵³ precision loss of `f64`).
-    Integer(i128),
-    /// A string.
-    String(String),
-    /// An array.
-    Array(Vec<Value>),
-    /// An object with string keys.
-    Object(BTreeMap<String, Value>),
+/// Renders `value` as stable, 2-space-indented JSON (objects in key order).
+pub fn to_string_pretty(value: &Value) -> Result<String, Error> {
+    let mut out = String::new();
+    value.write_json(Some(0), &mut out);
+    Ok(out)
 }
 
-static NULL: Value = Value::Null;
-
-impl Value {
-    /// The string content, when this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric content, when this is a number (lossy for integers beyond 2⁵³).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            Value::Integer(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
-    /// The exact unsigned-integer content, when this is an in-range integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Integer(i) => u64::try_from(*i).ok(),
-            Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= (1u64 << 53) as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The exact signed-integer content, when this is an in-range integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Integer(i) => i64::try_from(*i).ok(),
-            Value::Number(n)
-                if n.fract() == 0.0 && n.abs() <= (1u64 << 53) as f64 =>
-            {
-                Some(*n as i64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The boolean content, when this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Object member by key, when this is an object.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(map) => map.get(key),
-            _ => None,
-        }
-    }
+fn fail<T>(message: impl Into<String>) -> Result<T, Error> {
+    Err(Error::custom(message))
 }
-
-impl std::ops::Index<&str> for Value {
-    type Output = Value;
-
-    fn index(&self, key: &str) -> &Value {
-        self.get(key).unwrap_or(&NULL)
-    }
-}
-
-impl std::ops::Index<usize> for Value {
-    type Output = Value;
-
-    fn index(&self, idx: usize) -> &Value {
-        match self {
-            Value::Array(items) => items.get(idx).unwrap_or(&NULL),
-            _ => &NULL,
-        }
-    }
-}
-
-impl PartialEq<&str> for Value {
-    fn eq(&self, other: &&str) -> bool {
-        self.as_str() == Some(*other)
-    }
-}
-
-impl PartialEq<str> for Value {
-    fn eq(&self, other: &str) -> bool {
-        self.as_str() == Some(other)
-    }
-}
-
-impl PartialEq<f64> for Value {
-    fn eq(&self, other: &f64) -> bool {
-        self.as_f64() == Some(*other)
-    }
-}
-
-impl PartialEq<bool> for Value {
-    fn eq(&self, other: &bool) -> bool {
-        self.as_bool() == Some(*other)
-    }
-}
-
-macro_rules! impl_value_int_eq {
-    ($($t:ty),*) => {$(
-        impl PartialEq<$t> for Value {
-            fn eq(&self, other: &$t) -> bool {
-                match self {
-                    Value::Integer(i) => *i == *other as i128,
-                    Value::Number(n) => *n == *other as f64,
-                    _ => false,
-                }
-            }
-        }
-    )*};
-}
-
-impl_value_int_eq!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 /// Parses a JSON document into a [`Value`].
 pub fn from_str(input: &str) -> Result<Value, Error> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
-        return Err(Error(format!("trailing characters at offset {pos}")));
+        return fail(format!("trailing characters at offset {pos}"));
     }
     Ok(value)
 }
@@ -186,10 +52,13 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return fail(format!("nesting deeper than {MAX_DEPTH} levels at offset {pos}"));
+    }
     match bytes.get(*pos) {
-        None => Err(Error("unexpected end of input".into())),
+        None => fail("unexpected end of input"),
         Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
@@ -203,7 +72,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -211,7 +80,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                         *pos += 1;
                         return Ok(Value::Array(items));
                     }
-                    _ => return Err(Error(format!("expected , or ] at offset {pos}"))),
+                    _ => return fail(format!("expected , or ] at offset {pos}")),
                 }
             }
         }
@@ -228,10 +97,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
-                    return Err(Error(format!("expected : at offset {pos}")));
+                    return fail(format!("expected : at offset {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 map.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -240,7 +109,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                         *pos += 1;
                         return Ok(Value::Object(map));
                     }
-                    _ => return Err(Error(format!("expected , or }} at offset {pos}"))),
+                    _ => return fail(format!("expected , or }} at offset {pos}")),
                 }
             }
         }
@@ -253,19 +122,19 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Resu
         *pos += lit.len();
         Ok(value)
     } else {
-        Err(Error(format!("invalid literal at offset {pos}")))
+        fail(format!("invalid literal at offset {pos}"))
     }
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
     if bytes.get(*pos) != Some(&b'"') {
-        return Err(Error(format!("expected string at offset {pos}")));
+        return fail(format!("expected string at offset {pos}"));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
         match bytes.get(*pos) {
-            None => return Err(Error("unterminated string".into())),
+            None => return fail("unterminated string"),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
@@ -282,17 +151,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
+                        // Exactly four hex digits: `from_str_radix` alone would take a sign.
+                        let code = bytes
                             .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| Error("invalid \\u escape".into()))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| Error("invalid \\u escape".into()))?;
+                            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                            .and_then(|hex| std::str::from_utf8(hex).ok())
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok());
+                        let Some(code) = code else {
+                            return fail(format!("invalid \\u escape at offset {pos}"));
+                        };
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
-                    _ => return Err(Error("invalid escape".into())),
+                    _ => return fail("invalid escape"),
                 }
                 *pos += 1;
             }
@@ -317,7 +188,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| Error("invalid number".into()))?;
+        .or_else(|_| fail("invalid number"))?;
     // Integer literals are kept exact (f64 would corrupt 64-bit values beyond 2^53).
     if !text.contains(['.', 'e', 'E']) {
         if let Ok(i) = text.parse::<i128>() {
@@ -326,7 +197,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
     }
     text.parse::<f64>()
         .map(Value::Number)
-        .map_err(|_| Error(format!("invalid number `{text}`")))
+        .or_else(|_| fail(format!("invalid number `{text}`")))
 }
 
 #[cfg(test)]
@@ -382,5 +253,107 @@ mod tests {
         // Exponent literals parse as floats but still convert when integral and in range.
         assert_eq!(from_str("1e3").unwrap().as_u64(), Some(1000));
         assert_eq!(from_str("2.5").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"a\":".repeat(depth) + "1" + &"}".repeat(depth);
+        for nested in [arrays, objects] {
+            assert!(from_str(&nested(MAX_DEPTH)).is_ok());
+            assert!(from_str(&nested(MAX_DEPTH + 1)).is_err());
+        }
+        // A 1 MiB body of `[` (the serve daemon's request limit) used to abort the process.
+        let err = std::thread::spawn(|| from_str(&"[".repeat(1 << 20)))
+            .join()
+            .expect("the parser returns instead of overflowing its stack");
+        assert!(err.unwrap_err().to_string().contains("nesting"));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(from_str(r#""\u0041\u00e9""#).unwrap(), "A\u{e9}");
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u04G1""#, r#""\u041""#, r#""\u 041""#] {
+            assert!(from_str(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn pretty_output_reparses_to_the_same_value() {
+        let mut map = BTreeMap::new();
+        map.insert("name".to_string(), Value::String("a \"quoted\"\nlabel\u{1}".into()));
+        map.insert("big".to_string(), Value::Integer((1i128 << 63) + 1));
+        map.insert("rate".to_string(), Value::Number(2.5));
+        map.insert("list".to_string(), Value::Array(vec![Value::Null, Value::Bool(true)]));
+        map.insert("empty".to_string(), Value::Object(BTreeMap::new()));
+        let value = Value::Object(map);
+        let pretty = to_string_pretty(&value).unwrap();
+        assert!(pretty.starts_with("{\n  \"big\": 9223372036854775809,\n"), "{pretty}");
+        assert!(pretty.contains("\"empty\": {},\n"), "{pretty}");
+        assert_eq!(from_str(&pretty).unwrap(), value);
+        assert_eq!(from_str(&to_string(&value).unwrap()).unwrap(), value);
+        assert!(!to_string(&value).unwrap().contains('\n'), "compact output is one line");
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Unit;
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Newtype(u16);
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Pair(u8, String);
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    enum Shape {
+        Unit,
+        Newtype(Newtype),
+        Tuple(Unit, Pair),
+        Named { sizes: Vec<usize>, label: Option<String> },
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Doc {
+        shapes: Vec<Shape>,
+        #[serde(default)]
+        extra: Vec<bool>,
+        ratio: f64,
+    }
+
+    fn decode<T: serde::Deserialize>(json: &str) -> Result<T, Error> {
+        T::deserialize(&from_str(json)?)
+    }
+
+    #[test]
+    fn derived_codec_round_trips_every_shape() {
+        let doc = Doc {
+            shapes: vec![
+                Shape::Unit,
+                Shape::Newtype(Newtype(7)),
+                Shape::Tuple(Unit, Pair(1, "x".into())),
+                Shape::Named { sizes: vec![2, 3], label: None },
+            ],
+            extra: vec![true],
+            ratio: 0.1,
+        };
+        let json = to_string(&doc).unwrap();
+        assert_eq!(decode::<Doc>(&json), Ok(doc));
+        // Absent `Option` and `#[serde(default)]` fields take their defaults.
+        let sparse: Doc = decode(r#"{"shapes": [{"Named": {"sizes": []}}], "ratio": 1}"#).unwrap();
+        assert_eq!(sparse.shapes, vec![Shape::Named { sizes: vec![], label: None }]);
+        assert_eq!((sparse.extra, sparse.ratio), (vec![], 1.0));
+        // Every error names the path to the fault.
+        for (json, message) in [
+            (r#"{"shapes": [], "ratio": 1, "ratoi": 2}"#, "unknown field `ratoi`"),
+            (r#"{"shapes": ["Unit", "Named"], "ratio": 1}"#, "shapes[1].Named: expected an object"),
+            (r#"{"shapes": [{"Tuple": [null, [1]]}], "ratio": 1}"#, "shapes[0].Tuple[1]: expected"),
+            (r#"{"shapes": [{"Newtype": 70000}], "ratio": 1}"#, "shapes[0].Newtype: 70000 exceeds"),
+            (r#"{"shapes": ["Round"], "ratio": 1}"#, "shapes[0]: unknown variant `Round`"),
+            (r#"{"shapes": [{"Unit": 1}], "ratio": 1}"#, "shapes[0].Unit: expected no payload"),
+            (r#"{"shapes": []}"#, "missing field `ratio`"),
+        ] {
+            let err = decode::<Doc>(json).unwrap_err().to_string();
+            assert!(err.starts_with(message), "{json}: {err}");
+        }
     }
 }

@@ -1,8 +1,7 @@
 //! Integration tests for the unified scenario API.
 //!
 //! * **Serde round-trip** (proptest): `spec → JSON → spec` is the identity for randomly
-//!   generated specs — the manual JSON decoder in `analysis::scenario` exactly inverts the
-//!   derive-generated serializer.
+//!   generated specs — the derived decoder exactly inverts the derived serializer.
 //! * **Cross-backend consistency**: a small preset produces the *identical trace* via
 //!   `Scenario::run` and via a hand-wired `protocol::ss::network` + `engine::run` execution.
 //! * **Acceptance**: one `ScenarioSpec` value — the `figure2` preset — demonstrably drives
@@ -12,7 +11,10 @@
 use kl_exclusion::prelude::*;
 use proptest::prelude::*;
 
-use analysis::scenario::{preset, CsStateSpec, InjectSpec, MessageSpec, NodeInit};
+use analysis::scenario::{
+    preset, CsStateSpec, FaultEventSpec, FaultScheduleSpec, FaultSpec, InitiatorSpec, InjectSpec,
+    MessageSpec, NodeInit, SnapshotSpec, PRESET_NAMES,
+};
 
 // ---------------------------------------------------------------- serde round-trip proptest
 
@@ -125,6 +127,64 @@ fn init_strategy() -> impl Strategy<Value = Option<InitSpec>> {
     ]
 }
 
+/// `None`, or `Some` of a value drawn from `strategy`.
+fn optional<S>(strategy: S) -> impl Strategy<Value = Option<S::Value>>
+where
+    S: Strategy + 'static,
+    S::Value: Clone + 'static,
+{
+    prop_oneof![Just(None), strategy.prop_map(Some)]
+}
+
+fn plan_strategy() -> impl Strategy<Value = FaultPlanSpec> {
+    prop_oneof![
+        Just(FaultPlanSpec::Catastrophic),
+        Just(FaultPlanSpec::Moderate),
+        Just(FaultPlanSpec::MessageOnly),
+    ]
+}
+
+fn fault_event_strategy() -> impl Strategy<Value = FaultEventSpec> {
+    prop_oneof![
+        Just(FaultEventSpec::TargetTokenPath),
+        Just(FaultEventSpec::JoinLeaf),
+        Just(FaultEventSpec::LeaveLeaf),
+        Just(FaultEventSpec::RewireEdge),
+        plan_strategy().prop_map(|plan| FaultEventSpec::Transient { plan }),
+        ((0.0f64..1.0), (0.0f64..1.0), (0usize..16)).prop_map(|(drop, duplicate, garbage)| {
+            FaultEventSpec::MessageBurst { drop, duplicate, garbage }
+        }),
+        ((1usize..4), any::<bool>())
+            .prop_map(|(count, lose_incoming)| FaultEventSpec::Crash { count, lose_incoming }),
+    ]
+}
+
+/// Warmup, one-shot fault, fault schedule and snapshots, each present or absent.
+type Phases =
+    (Option<WarmupSpec>, Option<FaultSpec>, Option<FaultScheduleSpec>, Option<SnapshotSpec>);
+
+fn phases_strategy() -> impl Strategy<Value = Phases> {
+    let warmup = ((1u64..1_000_000), optional(1u64..5_000), optional(daemon_strategy()))
+        .prop_map(|(max_steps, window, daemon)| WarmupSpec { max_steps, window, daemon });
+    let fault = (any::<u64>(), plan_strategy()).prop_map(|(seed, plan)| FaultSpec { seed, plan });
+    let schedule = (
+        any::<u64>(),
+        proptest::collection::vec(fault_event_strategy(), 0..6),
+        (1u64..1_000_000),
+        optional(1u64..5_000),
+    )
+        .prop_map(|(seed, epochs, max_steps, window)| FaultScheduleSpec {
+            seed,
+            epochs,
+            max_steps,
+            window,
+        });
+    let initiator = prop_oneof![Just(InitiatorSpec::Root), Just(InitiatorSpec::Rotate)];
+    let snapshots = ((1u64..10_000), initiator)
+        .prop_map(|(interval, initiator)| SnapshotSpec { interval, initiator });
+    (optional(warmup), optional(fault), optional(schedule), optional(snapshots))
+}
+
 fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
     // Note: these specs are arbitrary *data* — many will not pass `compile()` validation
     // (out-of-range nodes, ring + leaf workloads, …).  Round-tripping must be lossless for
@@ -134,8 +194,9 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
         (stop_strategy(), init_strategy()),
         ((1usize..4), (1usize..6), any::<bool>(), (0u64..100)),
         ((1u64..20), any::<u64>()),
+        phases_strategy(),
     )
-        .prop_map(|(core, run, cfg, plan)| {
+        .prop_map(|(core, run, cfg, plan, phases)| {
             let (topology, protocol, workload, daemon) = core;
             let (stop, init) = run;
             let (k, l_extra, unbounded, timeout) = cfg;
@@ -156,6 +217,7 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
                 .base_seed(base_seed)
                 .spec();
             spec.init = init;
+            (spec.warmup, spec.fault, spec.fault_schedule, spec.snapshots) = phases;
             spec
         })
 }
@@ -175,7 +237,7 @@ proptest! {
 
 #[test]
 fn roundtrip_covers_warmup_fault_and_check_fields() {
-    // The strategy above leaves warmup/fault/check at defaults; pin them here.
+    // The strategy above leaves check and properties at defaults; pin them here.
     let mut spec = preset("theorem1").expect("bundled preset");
     spec.warmup = Some(WarmupSpec {
         max_steps: 123,
@@ -200,6 +262,54 @@ fn malformed_specs_are_rejected_with_context() {
     assert!(ScenarioSpec::from_json("{}").is_err());
     let err = ScenarioSpec::from_json(r#"{"name":"x"}"#).unwrap_err();
     assert!(err.to_string().contains("topology"), "{err}");
+
+    // A spec runs exactly as written or is rejected with the path to the bad field named:
+    // unknown keys (a typo such as `snapshot` used to be ignored, and the run went ahead
+    // without snapshots), missing fields, unknown variants and out-of-range values.
+    let base = serde_json::from_str(&preset("checker-safety").unwrap().to_json()).unwrap();
+    let with_field = |path: &[&str], json: &str| {
+        let mut doc = base.clone();
+        let mut node = &mut doc;
+        for key in path {
+            let serde_json::Value::Object(fields) = node else { panic!("{key}: not an object") };
+            node = fields.entry(key.to_string()).or_insert(serde_json::Value::Null);
+        }
+        *node = serde_json::from_str(json).unwrap();
+        ScenarioSpec::from_json(&serde_json::to_string(&doc).unwrap())
+    };
+    assert!(with_field(&["check", "threads"], "2").is_ok());
+    for (path, json, expected) in [
+        (&["snapshot"][..], r#"{"interval": 5, "initiator": "Root"}"#, "unknown field `snapshot`"),
+        (&["config", "cmaxx"], "4", "config: unknown field `cmaxx`"),
+        (&["check", "thread"], "2", "check: unknown field `thread`"),
+        (
+            &["snapshots"],
+            r#"{"interval": 5, "initiator": "Root", "every": 2}"#,
+            "snapshots: unknown field `every`",
+        ),
+        (&["topology"], r#"{"Chain": {"n": 4, "m": 2}}"#, "topology.Chain: unknown field `m`"),
+        (&["topology"], r#"{"Chain": {}}"#, "topology.Chain: missing field `n`"),
+        (
+            &["fault_schedule"],
+            r#"{"seed": 1, "epochs": ["JoinLeaf", {"Crash": {"count": 1}}], "max_steps": 9}"#,
+            "fault_schedule.epochs[1].Crash: missing field `lose_incoming`",
+        ),
+        (&["protocol"], r#""Sss""#, "protocol: unknown variant `Sss`"),
+        (&["trials"], "-1", "trials: expected an unsigned integer"),
+        (
+            &["init"],
+            r#"{"bootstrapped_root": false, "nodes": [], "inject": [{"from": 0, "channel": 0,
+                "message": {"Ctrl": {"c": 0, "r": false, "pt": 0, "ppr": 256}}}]}"#,
+            "init.inject[0].message.Ctrl.ppr: 256 exceeds u8",
+        ),
+    ] {
+        match with_field(path, json) {
+            Err(err @ ScenarioError::Json(_)) => {
+                assert!(err.to_string().contains(expected), "{expected}: {err}")
+            }
+            other => panic!("{expected}: not rejected as bad JSON: {other:?}"),
+        }
+    }
 
     // Out-of-range request sizes and trial counts are rejected with the field named, not
     // clamped or silently run.
@@ -239,6 +349,106 @@ fn malformed_specs_are_rejected_with_context() {
     assert!(with(uniform(1), 1).is_ok());
     assert!(with(leaf(2), 1).is_ok());
     assert!(with(WorkloadSpec::Needs { needs: vec![0, 2, 1], hold: 1 }, 1).is_ok());
+}
+
+/// The snapshot-smoke spec the CI workflow writes by hand (an older document layout that
+/// must keep loading).
+const CI_SNAPSHOT_SMOKE: &str = r#"{"name": "snapshot-smoke 100k", "topology": {"Binary": {"n": 100000}},
+ "protocol": "Ss",
+ "config": {"k": 3, "l": 5, "cmax": null, "timeout": 50,
+            "literal_pusher_guard": false, "literal_completion_order": false,
+            "unbounded_counter": false},
+ "workload": {"Saturated": {"units": 2, "hold": 10}},
+ "daemon": {"RandomFair": {"seed": 2024}},
+ "init": null, "warmup": null, "fault": null, "fault_schedule": null,
+ "snapshots": null, "stop": {"Steps": {"steps": 30000000}},
+ "metrics": ["steps", "satisfied", "snapshots_taken", "snapshots_clean"],
+ "properties": [], "trials": 1, "base_seed": 0,
+ "check": {"max_configurations": 1000, "max_depth": 0,
+           "properties": ["safety"], "from_legitimate": false, "threads": 0}}"#;
+
+/// A fault-schedule document with every epoch kind (the CI `--fault-schedule` file is its
+/// prefix).
+const SCHEDULE: &str = r#"{"seed": 5, "epochs": ["JoinLeaf", {"Transient": {"plan": "MessageOnly"}},
+ "LeaveLeaf", "RewireEdge", "TargetTokenPath", {"Crash": {"count": 2, "lose_incoming": true}},
+ {"MessageBurst": {"drop": 0.25, "duplicate": 0.125, "garbage": 3}}], "max_steps": 200000,
+ "window": 64}"#;
+
+/// One seeded byte-level edit: flip a bit, insert a JSON-significant byte, delete a byte,
+/// truncate, or duplicate a span.
+fn mutate_bytes(bytes: &mut Vec<u8>, rng: &mut rand::rngs::StdRng) {
+    use rand::Rng;
+    const ALPHABET: &[u8] = b"{}[]\",:-.eE0123456789 \\nultrfas";
+    let at = rng.gen_range(0..=bytes.len());
+    match rng.gen_range(0..5u32) {
+        0 if at < bytes.len() => bytes[at] ^= 1 << rng.gen_range(0..8u32),
+        1 => bytes.insert(at, ALPHABET[rng.gen_range(0..ALPHABET.len())]),
+        2 if at < bytes.len() => drop(bytes.remove(at)),
+        3 => bytes.truncate(at),
+        _ => {
+            let end = rng.gen_range(at..=bytes.len().min(at + 32));
+            let span = bytes[at..end].to_vec();
+            let to = rng.gen_range(0..=bytes.len());
+            bytes.splice(to..to, span);
+        }
+    }
+}
+
+/// Decodes `text` without panicking; an accepted document must re-encode and decode to an
+/// equal value.  Returns whether it was accepted.
+fn decodes_cleanly<T: PartialEq + std::fmt::Debug>(
+    text: &str,
+    decode: fn(&str) -> Result<T, ScenarioError>,
+    encode: fn(&T) -> String,
+) -> bool {
+    let decoded = std::panic::catch_unwind(|| decode(text))
+        .unwrap_or_else(|_| panic!("decoder panicked on {text:?}"));
+    match decoded {
+        Ok(value) => {
+            assert_eq!(decode(&encode(&value)).as_ref(), Ok(&value), "re-encoding {text:?}");
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+#[test]
+fn hostile_json_never_panics_and_accepted_documents_round_trip() {
+    use rand::{Rng, SeedableRng};
+    let encode_schedule = |schedule: &FaultScheduleSpec| serde_json::to_string(schedule).unwrap();
+    let mut seeds: Vec<String> =
+        PRESET_NAMES.iter().map(|name| preset(name).unwrap().to_json()).collect();
+    seeds.extend([CI_SNAPSHOT_SMOKE.to_string(), SCHEDULE.to_string()]);
+    // Every seed document loads as written: the presets and the CI snapshot spec as specs,
+    // the schedule as a schedule.
+    for seed in &seeds[..seeds.len() - 1] {
+        assert!(decodes_cleanly(seed, ScenarioSpec::from_json, ScenarioSpec::to_json), "{seed}");
+    }
+    assert!(decodes_cleanly(SCHEDULE, FaultScheduleSpec::from_json, encode_schedule));
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_4a50);
+    let (mut accepted, mut rejected) = (0, 0);
+    for _ in 0..400 {
+        for seed in &seeds {
+            let mut bytes = seed.as_bytes().to_vec();
+            for _ in 0..rng.gen_range(1..=3u32) {
+                mutate_bytes(&mut bytes, &mut rng);
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            for ok in [
+                decodes_cleanly(&text, ScenarioSpec::from_json, ScenarioSpec::to_json),
+                decodes_cleanly(&text, FaultScheduleSpec::from_json, encode_schedule),
+            ] {
+                if ok {
+                    accepted += 1;
+                } else {
+                    rejected += 1;
+                }
+            }
+        }
+    }
+    // Both outcomes occur, so the mutations reach the decoders and not just the parser.
+    assert!(accepted > 100 && rejected > 1_000, "accepted {accepted}, rejected {rejected}");
 }
 
 /// An adversarial victim list whose duplicates cover every node used to send the daemon

@@ -325,6 +325,19 @@ fn malformed_and_oversized_submissions_get_a_400_json_error() {
     let detail = doc.get("error").and_then(Value::as_str).expect("error detail");
     assert!(detail.contains("exceeds"), "unexpected detail: {detail}");
 
+    // A body of 1 MiB of `[` (at the size limit) used to overflow the connection thread's
+    // stack and abort the daemon; a spec with an unknown key used to run without it.  Both
+    // are 400s naming the fault.
+    let err = client::submit(&addr, &"[".repeat(1 << 20)).expect_err("deep body rejected");
+    assert!(err.contains("submit rejected (400)") && err.contains("nesting"), "{err}");
+    let mut spec = serde_json::from_str(&preset("quickstart").unwrap().to_json()).unwrap();
+    if let Value::Object(fields) = &mut spec {
+        fields.insert("snapshot".to_string(), Value::Bool(true));
+    }
+    let body = format!("{{\"spec\": {}}}", serde_json::to_string(&spec).unwrap());
+    let err = client::submit(&addr, &body).expect_err("unknown spec field rejected");
+    assert!(err.contains("submit rejected (400)") && err.contains("`snapshot`"), "{err}");
+
     // The daemon is still healthy afterwards.
     let health = client::healthz(&addr).expect("healthz after bad submissions");
     assert_eq!(health.get("status").and_then(Value::as_str), Some("ok"));
